@@ -220,9 +220,7 @@ def _uniform_init(g, args):
 def _cmd_hit(args):
     g = load_graph(args.graph)
     cfg = _chain_config(args)
-    t0 = time.perf_counter()
     trace = mcmc.hitting_time(g, cfg)
-    wall_ms = (time.perf_counter() - t0) * 1000
     threshold = mcmc.beta_scale_threshold(g.n, args.kbar)
     payload = {
         "config": {"beta": args.beta, "kbar": args.kbar, "t_max": args.t_max,
@@ -231,7 +229,6 @@ def _cmd_hit(args):
         "censored": trace.hit_time is None,
         "beta_scale_threshold": threshold,
         "beta_meets_scale": args.beta >= threshold,
-        "wall_ms": round(wall_ms, 3),
     }
     _write_json(args.out, payload)
     outputs = [args.out]

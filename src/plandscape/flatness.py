@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import BitGraph, rng_from_seed
+from .model import BitGraph, mask_to_members, rng_from_seed
 from . import landscape
 
 EXHAUSTIVE_LIMIT = 22  # 2^K masks; beyond this only sampled mode runs
@@ -87,20 +87,17 @@ def _check_exhaustive(g: BitGraph, gamma: float, delta: float):
     if K > EXHAUSTIVE_LIMIT:
         raise ParameterError(f"exhaustive mode limited to K <= {EXHAUSTIVE_LIMIT}, got {K}")
     thr = _thresholds(K, gamma, delta)
-    rows = np.array(g.rows, dtype=np.int64)
     masks = np.arange(1 << K, dtype=np.int64)
     sizes = _popcount_array(masks).astype(np.int16)
     edges = np.zeros(1 << K, dtype=np.int32)
-    for v in range(K):
-        sel = (masks >> v) & 1
-        edges += (sel * _popcount_array(masks & rows[v])).astype(np.int32)
-    edges //= 2
+    for v in range(K):  # masks with top vertex v: v's edges into the rest, plus the rest
+        low = masks[: 1 << v]
+        edges[1 << v : 2 << v] = edges[: 1 << v] + _popcount_array(low & g.rows[v])
     bad = np.nonzero(edges > thr[sizes])[0]
     out = []
     for mask in bad:
         ell = int(sizes[mask])
-        members = tuple(v for v in range(K) if int(mask) >> v & 1)
-        out.append((ell, members, float(edges[mask] - thr[ell])))
+        out.append((ell, mask_to_members(int(mask)), float(edges[mask] - thr[ell])))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
@@ -112,23 +109,22 @@ def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: 
     thr = _thresholds(K, gamma, delta)
     rng = rng_from_seed(seed, stream=1)
     found = {}
+    adj = g.dense.astype(np.float64)  # BLAS product; counts stay exact integers
 
-    def check(members):
-        ell = len(members)
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        e = g.count_in_mask(mask)
-        if e > thr[ell]:
-            found.setdefault((ell, tuple(members)), float(e - thr[ell]))
+    def check(ell, picks):  # one ell-subset per row of picks
+        x = np.zeros((len(picks), K))
+        np.put_along_axis(x, picks, 1, axis=1)
+        edges = ((x @ adj) * x).sum(axis=1) // 2
+        for i in np.flatnonzero(edges > thr[ell]):
+            found.setdefault((ell, tuple(sorted(picks[i].tolist()))), float(edges[i] - thr[ell]))
 
     for ell in range(2, K):
-        for _ in range(samples):
-            check(sorted(int(v) for v in rng.permutation(K)[:ell]))
+        draws = [rng.permutation(K)[:ell] for _ in range(samples)]
+        check(ell, np.array(draws, dtype=np.intp).reshape(samples, ell))
     step = max(1, K // 10)
     for ell in range(2, K, step):
         res = landscape.local_search_densest(g, ell, restarts=2, seed=seed)
-        check(res.witness.members)
+        check(ell, np.array([res.witness.members]))
     out = [(ell, mem, exc) for (ell, mem), exc in found.items()]
     out.sort(key=lambda t: (t[0], t[1]))
     return out

@@ -15,6 +15,7 @@ from .model import (
     ModelParams,
     PlantedGraph,
     VertexSubset,
+    edge_count,
     mask_to_members,
     rng_from_seed,
 )
@@ -181,22 +182,12 @@ def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
     if K == 1:
         return DensestResult(0, VertexSubset((0,)), EXHAUSTIVE)
 
-    adj = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        row = g.rows[u]
-        v = 0
-        while row:
-            if row & 1:
-                adj[u, v] = 1
-            row >>= 1
-            v += 1
-
+    adj = g.dense.astype(np.int64)
     seed_res = local_search_densest(g, K, restarts=4, seed=0)
     best_val = seed_res.value
     best_members = list(seed_res.witness.members)
 
-    order = sorted(range(n), key=lambda v: (-int(adj[v].sum()), v))
-    cand0 = np.array(order, dtype=np.int64)
+    cand0 = np.argsort(-adj.sum(axis=1), kind="stable")  # degree desc, then label
     d0 = np.zeros(n, dtype=np.int64)
     nodes = 0
     cr2 = [r * (r - 1) // 2 for r in range(K + 1)]
@@ -272,49 +263,54 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
     def initial():
         members = []
         for pool, take in zip(pools, takes):
-            pick = rng.permutation(len(pool))[:take]
+            pick = rng.permutation(len(pool))[:take].tolist()
             members.extend(pool[i] for i in pick)
         return sorted(members)
 
-    def mask_of(members):
-        m = 0
-        for v in members:
-            m |= 1 << v
-        return m
+    if restarts == 0:
+        start = VertexSubset(tuple(initial()))
+        return DensestResult(edge_count(g, start), start, LOCAL_SEARCH, 0)
+
+    # Pool-major coordinates: each pool sorted, planted pool first, so the
+    # row-major first argmax over (u in, v out) is the first-strict-max swap
+    # of a scan over pools, then sorted u, then sorted v.
+    order = np.concatenate([sorted(p) for p in pools]).astype(np.intp)
+    pos = np.argsort(order)
+    adj = g.dense[np.ix_(order, order)].astype(np.int32)
+    arows = list(adj)
+    pool_of = np.repeat(np.arange(len(pools)), [len(p) for p in pools])
+    # With e = d + neg * [v inside], d the neighbours inside the set, swap
+    # (u, v) scores base[u, v] + e[v] - e[u] = d[v] - A[u, v] - d[u]; pairs
+    # with v inside or across pools score below every swap delta (>= -kbar).
+    neg = -2 * n - 1
+    base = np.where(pool_of[:, None] == pool_of, neg - adj, 2 * neg).astype(np.int32)
 
     def ascend(members):
-        mask = mask_of(members)
-        val = g.count_in_mask(mask)
-        inside = set(members)
+        x = np.zeros(n, dtype=bool)
+        x[pos[members]] = True
+        e = adj.dot(x)
+        val = int(e.dot(x)) // 2
+        e[x] += neg
         plateau_left = plateau_budget
         while True:
-            best = None  # (delta, u, v)
-            for pool in pools:
-                ins = sorted(v for v in pool if v in inside)
-                outs = sorted(v for v in pool if v not in inside)
-                for u in ins:
-                    loss = (g.rows[u] & mask).bit_count()
-                    for v in outs:
-                        delta = (g.rows[v] & mask).bit_count() - (g.rows[v] >> u & 1) - loss
-                        if best is None or delta > best[0]:
-                            best = (delta, u, v)
-            if best is None:
-                break
-            delta, u, v = best
+            ins = x.nonzero()[0]
+            score = base.take(ins, axis=0)
+            score += e
+            score -= e.take(ins)[:, None]
+            best = int(score.argmax())
+            delta = score.item(best)
             if delta < 0 or (delta == 0 and plateau_left <= 0):
                 break
             plateau_left = plateau_left - 1 if delta == 0 else plateau_budget
-            inside.remove(u)
-            inside.add(v)
-            mask = (mask & ~(1 << u)) | (1 << v)
+            u, v = ins.item(best // n), best % n
+            x[u], x[v] = False, True
+            e += arows[v] - arows[u]
+            e[u] -= neg
+            e[v] += neg
             val += delta
-        return val, tuple(sorted(inside))
+        return val, tuple(sorted(order[x].tolist()))
 
     best_val, best_members = None, None
-    if restarts == 0:
-        members = initial()
-        val = g.count_in_mask(mask_of(members))
-        return DensestResult(val, VertexSubset(tuple(members)), LOCAL_SEARCH, 0)
     for _ in range(restarts):
         val, members = ascend(initial())
         if best_val is None or val > best_val or (val == best_val and members < best_members):

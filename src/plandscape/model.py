@@ -2,9 +2,10 @@
 
 Graphs are stored as packed bit rows (one Python int per vertex, bit j of
 row i set iff {i, j} is an edge) so that edge counting reduces to
-word-parallel AND + popcount.  All randomness comes from numpy's Philox
-counter-based generator keyed by a 64-bit seed, which makes every sample
-bit-reproducible across platforms.
+word-parallel AND + popcount.  Vectorised kernels read `BitGraph.dense`, an
+n x n uint8 view unpacked from those rows once per graph and cached.  All
+randomness comes from numpy's Philox counter-based generator keyed by a
+64-bit seed, which makes every sample bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ def _pack_rows(adj: np.ndarray) -> tuple[int, ...]:
     """Rows of a boolean adjacency matrix as ints with bit j == adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _unpack_rows(rows, n: int) -> np.ndarray:
+    """Inverse of _pack_rows: n x n uint8 matrix with [i, j] == bit j of rows[i]."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(n, width), axis=1, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,13 @@ class BitGraph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """Read-only n x n uint8 adjacency matrix, built once from the rows."""
+        adj = _unpack_rows(self.rows, self.n)
+        adj.flags.writeable = False
+        return adj
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -161,8 +176,8 @@ def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
     bits = np.unpackbits(raw, bitorder="little")[:npairs]
 
     adj = np.zeros((n, n), dtype=bool)
-    il, jl = np.tril_indices(n, -1)  # pair (i, j), j < i, at flat index C(i,2)+j
-    adj[il, jl] = bits
+    for i in range(1, n):  # pair (i, j), j < i, at flat index C(i,2)+j
+        adj[i, :i] = bits[i * (i - 1) // 2 : i * (i + 1) // 2]
     adj |= adj.T
     pl = np.array(planted)
     adj[np.ix_(pl, pl)] = True
@@ -225,26 +240,18 @@ def load_graph(path) -> BitGraph:
     if len(lines) < n + 2:
         raise ParameterError("truncated graph file")
     lower = [int(lines[2 + i], 16) for i in range(n)]
-    rows = [0] * n
     for i in range(n):
         if lower[i] >> i:
             raise ParameterError(f"row {i} has bits at or above the diagonal")
-        r = lower[i]
-        rows[i] |= r
-        j = 0
-        while r:
-            if r & 1:
-                rows[j] |= 1 << i
-            r >>= 1
-            j += 1
+    adj = _unpack_rows(lower, n)
+    adj |= adj.T
+    rows = _pack_rows(adj)
     if k == 0:
-        return BitGraph(n=n, rows=tuple(rows))
+        return BitGraph(n=n, rows=rows)
+    pl = np.array(planted)
+    if adj[np.ix_(pl, pl)].sum() != k * (k - 1):  # zero diagonal: all off-diagonal pairs
+        raise ParameterError("planted set is not a clique in file")
     pmask = 0
     for v in planted:
         pmask |= 1 << v
-    g = PlantedGraph(n=n, rows=tuple(rows), planted=planted, seed=seed, planted_mask=pmask)
-    for a_idx in range(k):
-        for b_idx in range(a_idx + 1, k):
-            if not g.has_edge(planted[a_idx], planted[b_idx]):
-                raise ParameterError("planted set is not a clique in file")
-    return g
+    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed, planted_mask=pmask)

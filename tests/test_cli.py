@@ -155,6 +155,7 @@ def test_hit_json_and_few(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["censored"] is False and payload["hit_time"] >= 1
+    assert "wall_ms" not in payload  # run timing lives in the manifest only
     assert (tmp_path / "tr.csv").exists()
 
     rc = main(["few", "--graph", str(g), "--kbar", "4", "--beta", "1.0",

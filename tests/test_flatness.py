@@ -3,8 +3,9 @@ import math
 import pytest
 
 from plandscape.errors import DomainError, ParameterError
-from plandscape.flatness import is_flat, sample_conditioned, subset_slack
-from plandscape.model import BitGraph
+from plandscape.flatness import _thresholds, is_flat, sample_conditioned, subset_slack
+from plandscape.landscape import local_search_densest
+from plandscape.model import BitGraph, rng_from_seed
 
 # frozen 50-digit mpmath evaluation of the slack formula
 SLACK_60_30_01_06 = 228.188359374594915821
@@ -127,6 +128,37 @@ def test_sampled_mode_finds_planted_violation():
     rep = is_flat(g, 0.2, 0.2, mode="sampled", samples=20, seed=1)
     assert not rep.is_flat  # the greedy witness at ell=8 finds the clique
     assert rep.checked == "Sampled(20)"
+
+
+def scalar_sampled_violations(g, gamma, delta, samples, seed):
+    """Reference for sampled mode: the same draws and greedy witnesses, each
+    subset counted on its own through the packed rows."""
+    K = g.n
+    thr = _thresholds(K, gamma, delta)
+    rng = rng_from_seed(seed, stream=1)
+    found = {}
+
+    def check(members):
+        e = g.count_in_mask(sum(1 << v for v in members))
+        if e > thr[len(members)]:
+            found.setdefault((len(members), tuple(members)), float(e - thr[len(members)]))
+
+    for ell in range(2, K):
+        for _ in range(samples):
+            check(sorted(int(v) for v in rng.permutation(K)[:ell]))
+    for ell in range(2, K, max(1, K // 10)):
+        check(local_search_densest(g, ell, restarts=2, seed=seed).witness.members)
+    return sorted((ell, mem, exc) for (ell, mem), exc in found.items())
+
+
+@pytest.mark.parametrize("K,density,gamma", [
+    (3, 0.6, 0.6), (12, 0.9, 0.5), (20, 1.0, 0.3), (30, 0.8, 0.3), (40, 0.9, 0.4)])
+def test_sampled_mode_matches_scalar_reference(K, density, gamma):
+    for seed in range(3):
+        g = sample_conditioned(K, density, seed)
+        for samples in (0, 1, 10):
+            rep = is_flat(g, gamma, 0.2, mode="sampled", samples=samples, seed=seed)
+            assert list(rep.violations) == scalar_sampled_violations(g, gamma, 0.2, samples, seed)
 
 
 def test_sample_conditioned_edges_exact():

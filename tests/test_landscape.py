@@ -1,7 +1,9 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plandscape.errors import BudgetError, DomainError, ParameterError
 from plandscape.landscape import (
@@ -21,6 +23,7 @@ from plandscape.model import (
     PlantedGraph,
     VertexSubset,
     edge_count,
+    rng_from_seed,
     sample_planted,
 )
 
@@ -233,6 +236,109 @@ def test_local_search_never_beats_exact():
         assert len(set(g.planted) & set(ls.witness.members)) == z
         hits += ls.value == exact
     assert hits / 200 >= 0.95
+
+
+def scalar_local_search(g, kbar, z=None, restarts=1, seed=0, plateau=None):
+    """Reference swap ascent: the scalar double loop over (u in, v out) per
+    pool with first-strict-max tie-breaks.  Returns (value, members, restarts)."""
+    n = g.n
+    plateau_budget = 2 * kbar if plateau is None else plateau
+    rng = rng_from_seed(seed)
+    if z is None:
+        pools, takes = [list(range(n))], [kbar]
+    else:
+        non_planted = [v for v in range(n) if not (g.planted_mask >> v & 1)]
+        pools, takes = [list(g.planted), non_planted], [z, kbar - z]
+
+    def initial():
+        members = []
+        for pool, take in zip(pools, takes):
+            pick = rng.permutation(len(pool))[:take]
+            members.extend(pool[i] for i in pick)
+        return sorted(members)
+
+    def mask_of(members):
+        return sum(1 << v for v in members)
+
+    def ascend(members):
+        mask = mask_of(members)
+        val = g.count_in_mask(mask)
+        inside = set(members)
+        plateau_left = plateau_budget
+        while True:
+            best = None  # (delta, u, v)
+            for pool in pools:
+                ins = sorted(v for v in pool if v in inside)
+                outs = sorted(v for v in pool if v not in inside)
+                for u in ins:
+                    loss = (g.rows[u] & mask).bit_count()
+                    for v in outs:
+                        delta = (g.rows[v] & mask).bit_count() - (g.rows[v] >> u & 1) - loss
+                        if best is None or delta > best[0]:
+                            best = (delta, u, v)
+            if best is None:
+                break
+            delta, u, v = best
+            if delta < 0 or (delta == 0 and plateau_left <= 0):
+                break
+            plateau_left = plateau_left - 1 if delta == 0 else plateau_budget
+            inside.remove(u)
+            inside.add(v)
+            mask = (mask & ~(1 << u)) | (1 << v)
+            val += delta
+        return val, tuple(sorted(inside))
+
+    if restarts == 0:
+        members = initial()
+        return g.count_in_mask(mask_of(members)), tuple(members), 0
+    best_val, best_members = None, None
+    for _ in range(restarts):
+        val, members = ascend(initial())
+        if best_val is None or val > best_val or (val == best_val and members < best_members):
+            best_val, best_members = val, members
+    return best_val, best_members, restarts
+
+
+@st.composite
+def search_cases(draw):
+    """A graph of any density (ties everywhere at 0 and 1) with a planted
+    set that need not be a clique nor be listed in order, plus every
+    local-search argument."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, n))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    edges = list(zip(*np.nonzero(adj)))
+    base = BitGraph.from_edges(n, [(int(u), int(v)) for u, v in edges])
+    planted = tuple(int(v) for v in rng.permutation(n)[:k])
+    if draw(st.booleans()):
+        planted = tuple(sorted(planted))
+    g = PlantedGraph(n=n, rows=base.rows, planted=planted,
+                     planted_mask=sum(1 << v for v in planted))
+    kbar = draw(st.integers(1, n))
+    z = draw(st.one_of(st.none(), st.integers(max(0, kbar - (n - k)), min(k, kbar))))
+    return g, kbar, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases(), st.integers(0, 5), st.integers(0, 2**16),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_local_search_matches_scalar_reference(case, restarts, seed, plateau):
+    g, kbar, z = case
+    r = local_search_densest(g, kbar, z=z, restarts=restarts, seed=seed, plateau=plateau)
+    ref = scalar_local_search(g, kbar, z=z, restarts=restarts, seed=seed, plateau=plateau)
+    assert (r.value, r.witness.members, r.restarts_used) == ref
+
+
+def test_local_search_matches_scalar_reference_on_planted_samples():
+    for s in range(40):
+        g = sample_planted(30, 6, s)
+        for z in (None, 0, 3, 6):
+            for plateau in (None, 0):
+                r = local_search_densest(g, 8, z=z, restarts=s % 6, seed=s, plateau=plateau)
+                ref = scalar_local_search(g, 8, z=z, restarts=s % 6, seed=s, plateau=plateau)
+                assert (r.value, r.witness.members, r.restarts_used) == ref
 
 
 def test_local_search_feasibility_errors():

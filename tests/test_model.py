@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from plandscape.errors import ParameterError
@@ -147,6 +148,46 @@ def test_plain_graph_file_roundtrip(tmp_path):
     save_graph(g, path)
     h = load_graph(path)
     assert h.rows == g.rows and not isinstance(h, PlantedGraph)
+
+
+def test_dense_view_matches_has_edge():
+    graphs = [sample_planted(n, min(n, 4), n) for n in (1, 2, 7, 8, 9, 16, 23)]
+    graphs.append(BitGraph.from_edges(9, [(0, 8), (2, 7), (7, 8)]))
+    for g in graphs:
+        a = g.dense
+        assert a.shape == (g.n, g.n) and a.dtype == np.uint8
+        assert not a.flags.writeable and g.dense is a
+        assert [[bool(a[i, j]) for j in range(g.n)] for i in range(g.n)] == \
+            [[g.has_edge(i, j) for j in range(g.n)] for i in range(g.n)]
+
+
+def test_graph_file_roundtrip_every_row_width(tmp_path):
+    path = tmp_path / "g.pcg"
+    for n in range(1, 42):
+        for g in (sample_planted(n, (n + 1) // 2, n),
+                  BitGraph.from_edges(n, [(i, (3 * i + 1) % n) for i in range(n)
+                                          if (3 * i + 1) % n != i])):
+            save_graph(g, path)
+            h = load_graph(path)
+            assert type(h) is type(g) and h.rows == g.rows
+            assert getattr(h, "planted", ()) == getattr(g, "planted", ())
+
+
+def test_load_rejects_bits_on_or_above_diagonal(tmp_path):
+    path = tmp_path / "bad.pcg"
+    for row1 in ("2", "4"):  # bit 1 is the diagonal, bit 2 lies above it
+        path.write_text(f"pcg v1 3 0 0\n\n0\n{row1}\n0\n")
+        with pytest.raises(ParameterError, match="diagonal"):
+            load_graph(path)
+
+
+def test_load_rejects_non_clique_planted_set(tmp_path):
+    path = tmp_path / "g.pcg"
+    path.write_text("pcg v1 3 2 0\n0 2\n0\n1\n0\n")  # edge {0, 1} only
+    with pytest.raises(ParameterError, match="clique"):
+        load_graph(path)
+    path.write_text("pcg v1 3 2 0\n0 2\n0\n1\n1\n")  # adds {0, 2}
+    assert load_graph(path).planted == (0, 2)
 
 
 def test_load_rejects_corrupt_header(tmp_path):
