@@ -66,13 +66,11 @@ from .mcmc import (
     MCMCConfig,
     WellPartition,
     beta_scale_threshold,
-    chain_step,
     conditional_init,
     exact_gibbs,
     free_energy_well_ratio,
     gibbs_log_weight,
     hitting_time,
-    reflected_step,
     run_chain,
     transition_matrix,
     well_ratio_lower_bound,

@@ -17,12 +17,11 @@ import os
 import sys
 import time
 
-from .errors import BudgetError, ParameterError, UndefinedCurveError
+from . import __version__
+from .errors import BudgetError, DomainError, ParameterError, UndefinedCurveError
 from . import flatness as flat_mod
 from . import landscape, mcmc, numerics, ogp
 from .model import ModelParams, VertexSubset, load_graph, rng_from_seed, sample_planted, save_graph
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,7 +70,7 @@ def _manifest(args, outputs, wall_ms):
     payload = {
         "schema": "v1",
         "tool": "plandscape",
-        "version": VERSION,
+        "version": __version__,
         "subcommand": args.cmd,
         "params": _jsonable(params),
         "wall_ms": round(wall_ms, 3),
@@ -81,12 +80,6 @@ def _manifest(args, outputs, wall_ms):
     with open(mpath, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("PLANDSCAPE_THREADS", "1"))
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -100,8 +93,7 @@ def _cmd_sample(args):
 
 def _cmd_curve(args):
     p = ModelParams(args.n, args.k, args.kbar)
-    curve = numerics.curve_grid(p, args.kind, z_lo=args.z_lo, z_hi=args.z_hi,
-                                threads=_threads(args))
+    curve = numerics.curve_grid(p, args.kind, z_lo=args.z_lo, z_hi=args.z_hi)
     rows = [(pt.z, pt.value, curve.kind, args.n, args.k, args.kbar)
             for pt in curve.points]
     _write_csv(args.out, "z,value,kind,n,k,kbar", rows)
@@ -127,8 +119,11 @@ def _cmd_classify(args):
 
 
 def _cmd_phase(args):
-    k_grid = [int(tok) for tok in args.k_grid.split(",")]
-    kbar_grid = [int(tok) for tok in args.kbar_grid.split(",")]
+    try:
+        k_grid = [int(tok) for tok in args.k_grid.split(",")]
+        kbar_grid = [int(tok) for tok in args.kbar_grid.split(",")]
+    except ValueError:
+        raise ParameterError("--k-grid and --kbar-grid take comma-separated integers") from None
     table = numerics.phase_diagram(args.n, k_grid, kbar_grid, margin=args.margin)
     _write_csv(args.out, "k,kbar,label", table)
     return [args.out]
@@ -136,11 +131,15 @@ def _cmd_phase(args):
 
 def _cmd_dense(args):
     if args.predict:
+        if args.n is None:
+            raise ParameterError("dense --predict needs --n")
         pred = landscape.densest_prediction(args.n, args.K)
         _write_json(args.out, {"n": pred.n, "K": pred.K,
                                "first_order": pred.first_order,
                                "second_order": pred.second_order})
         return [args.out]
+    if args.graph is None:
+        raise ParameterError("dense needs --graph (or --predict)")
     g = load_graph(args.graph)
     if args.method == "exhaustive":
         res = landscape.densest_subgraph(g, args.K, budget=args.budget)
@@ -176,8 +175,8 @@ def _cmd_flatness(args):
         g = flat_mod.sample_conditioned(args.K, args.gamma, args.seed)
     if args.mode == "exhaustive":
         rep = flat_mod.is_flat(g, args.gamma, args.delta)
-    elif args.mode.startswith("sampled:"):
-        count = int(args.mode.split(":", 1)[1])
+    elif args.mode.startswith("sampled:") and args.mode[8:].isdecimal():
+        count = int(args.mode[8:])
         rep = flat_mod.is_flat(g, args.gamma, args.delta, mode="sampled",
                                samples=count, seed=args.seed)
     else:
@@ -271,6 +270,8 @@ def _cmd_ogp(args):
             "note": "heuristic curve: evidence only, not certifiable",
         })
         return [args.out], EXIT_NOT_CERTIFIABLE
+    if (args.zeta1, args.zeta2, args.rn).count(None) not in (0, 3):
+        raise ParameterError("--zeta1, --zeta2 and --rn go together")
     if args.zeta1 is not None:
         curve = ogp.overlap_curve(g, args.kbar, budget=args.budget)
         cert = ogp.certify_ogp(g, args.kbar, curve, args.zeta1, args.zeta2, args.rn)
@@ -300,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plandscape",
         description="dense-subgraph landscape laboratory for planted clique instances")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (env PLANDSCAPE_THREADS; results never depend on it)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("sample", help="sample a planted-clique instance to a graph file")
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParameterError, UndefinedCurveError, FileNotFoundError) as exc:
+    except (ParameterError, DomainError, UndefinedCurveError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     wall_ms = (time.perf_counter() - t0) * 1000

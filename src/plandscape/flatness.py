@@ -39,20 +39,12 @@ def subset_slack(K: int, ell: int, delta: float, gamma: float) -> float:
     return math.sqrt(coeff * lead * logs)
 
 
-def _edge_target(K: int, gamma: float) -> int:
-    x = gamma * math.comb(K, 2)
-    r = round(x)
-    if abs(x - r) < 1e-9:
-        return int(r)
-    return int(math.ceil(x))
-
-
 def sample_conditioned(K: int, gamma: float, seed: int) -> BitGraph:
     """Uniform K-vertex graph with exactly ceil(gamma*C(K,2)) edges."""
     if K < 1 or not 0 <= gamma <= 1:
         raise ParameterError(f"need K >= 1 and gamma in [0,1], got K={K} gamma={gamma}")
     npairs = math.comb(K, 2)
-    m = _edge_target(K, gamma)
+    m = landscape._ceil_threshold(gamma * npairs)
     rng = rng_from_seed(seed)
     picks = rng.permutation(npairs)[:m]
     il, jl = np.tril_indices(K, -1)
@@ -70,10 +62,6 @@ class FlatnessReport:
     edge_count_mismatch: tuple | None = None  # (actual, required) when |E| is off
 
 
-def _popcount_array(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x)
-
-
 def _thresholds(K: int, gamma: float, delta: float) -> np.ndarray:
     """Per-size ceilings for 2 <= ell <= K-1; +inf outside that range."""
     thr = np.full(K + 1, np.inf)
@@ -88,11 +76,11 @@ def _check_exhaustive(g: BitGraph, gamma: float, delta: float):
         raise ParameterError(f"exhaustive mode limited to K <= {EXHAUSTIVE_LIMIT}, got {K}")
     thr = _thresholds(K, gamma, delta)
     masks = np.arange(1 << K, dtype=np.int64)
-    sizes = _popcount_array(masks).astype(np.int16)
+    sizes = np.bitwise_count(masks).astype(np.int16)
     edges = np.zeros(1 << K, dtype=np.int32)
     for v in range(K):  # masks with top vertex v: v's edges into the rest, plus the rest
         low = masks[: 1 << v]
-        edges[1 << v : 2 << v] = edges[: 1 << v] + _popcount_array(low & g.rows[v])
+        edges[1 << v : 2 << v] = edges[: 1 << v] + np.bitwise_count(low & g.rows[v])
     bad = np.nonzero(edges > thr[sizes])[0]
     out = []
     for mask in bad:
@@ -139,7 +127,7 @@ def is_flat(g: BitGraph, gamma: float, delta: float, mode: str = "exhaustive",
     count differing from ceil(gamma*C(K,2)) is reported as its own failure
     reason rather than as a subset violation."""
     K = g.n
-    required = _edge_target(K, gamma)
+    required = landscape._ceil_threshold(gamma * math.comb(K, 2))
     actual = g.edge_total()
     mismatch = None if actual == required else (actual, required)
     if mode == "exhaustive":

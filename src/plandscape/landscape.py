@@ -15,7 +15,9 @@ from .model import (
     ModelParams,
     PlantedGraph,
     VertexSubset,
+    check_overlap,
     edge_count,
+    feasible_overlaps,
     mask_to_members,
     rng_from_seed,
 )
@@ -146,8 +148,7 @@ def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
     by enumerating planted choices x non-planted choices.  Witness ties break
     to the lexicographically smallest subset."""
     n, k = g.n, g.k
-    if not (0 <= z <= min(k, kbar) and kbar - z <= n - k and kbar <= n):
-        raise ParameterError(f"infeasible (kbar={kbar}, z={z}) for n={n}, k={k}")
+    check_overlap(z, feasible_overlaps(n, k, kbar))
     count = math.comb(k, z) * math.comb(n - k, kbar - z)
     if count > budget:
         raise BudgetError(
@@ -241,13 +242,12 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
     subset as-is.
     """
     n = g.n
-    if not 1 <= kbar <= n:
-        raise ParameterError(f"need 1 <= kbar <= n, got kbar={kbar}")
+    if not 1 <= kbar <= n or restarts < 0:
+        raise ParameterError(f"need 1 <= kbar <= n, restarts >= 0, got {kbar}, {restarts}")
     if z is not None:
         if not isinstance(g, PlantedGraph):
             raise ParameterError("overlap-constrained search needs a planted graph")
-        if not (0 <= z <= min(g.k, kbar) and kbar - z <= n - g.k):
-            raise ParameterError(f"infeasible overlap z={z}")
+        check_overlap(z, feasible_overlaps(n, g.k, kbar))
 
     plateau_budget = 2 * kbar if plateau is None else plateau
     rng = rng_from_seed(seed)

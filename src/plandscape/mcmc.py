@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .model import ModelParams, PlantedGraph, VertexSubset, rng_from_seed
+from .model import ModelParams, PlantedGraph, VertexSubset, mask_to_members, rng_from_seed
 from .landscape import _enum_counts
 from .numerics import log_placements
 
@@ -60,8 +60,8 @@ class MCMCConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if self.beta < 0 or self.t_max < 0 or self.stride < 1:
-            raise ParameterError("need beta >= 0, t_max >= 0, stride >= 1")
+        if self.beta < 0 or self.kbar < 1 or self.t_max < 0 or self.stride < 1:
+            raise ParameterError("need beta >= 0, kbar >= 1, t_max >= 0, stride >= 1")
         if not self.d1 < self.d2:
             raise ParameterError(f"need d1 < d2, got {self.d1}, {self.d2}")
 
@@ -105,67 +105,16 @@ def _swap_delta(g, mask, u, v):
             - (g.rows[u] & mask).bit_count())
 
 
-def chain_step(g: PlantedGraph, s: VertexSubset, beta: float,
-               rng: np.random.Generator, proposal: tuple[int, int] | None = None) -> VertexSubset:
-    """One Metropolis step: propose a uniform (out-vertex u in s, in-vertex
-    v not in s) swap, accept with min(1, exp(beta * delta_edges)).
-
-    A forced `proposal` (u, v) skips the proposal draws (used to measure
-    acceptance frequencies); the acceptance uniform is always consumed."""
-    kbar = s.size
-    if kbar >= g.n:
-        raise ParameterError("no swap neighbors when kbar = n")
-    mask = s.mask
-    if proposal is None:
-        inside = s.members
-        outside = [w for w in range(g.n) if not (mask >> w & 1)]
-        u = inside[int(rng.integers(0, kbar))]
-        v = outside[int(rng.integers(0, g.n - kbar))]
-    else:
-        u, v = proposal
-        if not (mask >> u & 1) or (mask >> v & 1):
-            raise ParameterError(f"proposal ({u}, {v}) is not an (in, out) pair")
-    delta = _swap_delta(g, mask, u, v)
-    accept = float(rng.random()) < (1.0 if delta >= 0 else math.exp(beta * delta))
-    if accept:
-        return VertexSubset.from_iterable([w for w in s.members if w != u] + [v])
-    return s
-
-
-def reflected_step(g: PlantedGraph, s: VertexSubset, beta: float,
-                   part: WellPartition, rng: np.random.Generator,
-                   proposal: tuple[int, int] | None = None) -> VertexSubset:
-    """chain_step with proposals that would leave the low-overlap band
-    (overlap > a1_max) rejected outright (self-loop before any acceptance
-    draw).  The result is reversible for pi_beta conditioned on the band."""
-    cur = (s.mask & g.planted_mask).bit_count()
-    if cur > part.a1_max:
-        raise ParameterError(f"state overlap {cur} already outside the band")
-    kbar = s.size
-    mask = s.mask
-    if proposal is None:
-        inside = s.members
-        outside = [w for w in range(g.n) if not (mask >> w & 1)]
-        u = inside[int(rng.integers(0, kbar))]
-        v = outside[int(rng.integers(0, g.n - kbar))]
-    else:
-        u, v = proposal
-    new_overlap = cur - (g.planted_mask >> u & 1) + (g.planted_mask >> v & 1)
-    if new_overlap > part.a1_max:
-        return s
-    delta = _swap_delta(g, mask, u, v)
-    accept = float(rng.random()) < (1.0 if delta >= 0 else math.exp(beta * delta))
-    if accept:
-        return VertexSubset.from_iterable([w for w in s.members if w != u] + [v])
-    return s
-
-
 def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
               max_overlap: int | None = None, stop_above: int | None = None,
               count_visits: bool = False) -> ChainTrace:
     """Run the chain for t_max steps (or until overlap exceeds stop_above).
 
-    max_overlap reflects the chain at that overlap (reflected variant);
+    Each step proposes a uniform (u in, v out) swap and accepts it with
+    probability min(1, exp(beta * delta_edges)).  With max_overlap set, a
+    proposal that would raise the overlap above it is a self-loop drawn
+    before any acceptance test (the reflected chain, reversible for pi_beta
+    conditioned on overlap <= max_overlap); init must lie in that band.
     stop_above turns the run into a hitting-time measurement.  Randomness is
     drawn in fixed-size blocks from Philox(seed), so identical configs give
     bit-identical traces regardless of stride or stopping."""
@@ -183,6 +132,8 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
     mask = init.mask
     edges = g.count_in_mask(mask)
     ov = (mask & pmask).bit_count()
+    if max_overlap is not None and ov > max_overlap:
+        raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")
 
     # acceptance lookup for negative deltas; avoid exp() in the loop
     table = {}
@@ -362,8 +313,7 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
     try:
         eg = exact_gibbs(g, kbar, beta, budget)
         mask = eg.sample(rng, size=1, max_overlap=part.a1_max)[0]
-        out = VertexSubset.from_iterable(
-            [v for v in range(g.n) if mask >> v & 1])
+        out = VertexSubset(mask_to_members(mask))
         info = {"mode": "exact", "burn_in": 0}
         return (out, info) if return_info else out
     except BudgetError:

@@ -20,6 +20,8 @@ from .errors import ParameterError
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for (seed, stream); stream 0 is the generator of record."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,)) if stream else np.random.SeedSequence(entropy=seed)
     return np.random.Generator(np.random.Philox(seq))
 
@@ -51,6 +53,11 @@ class ModelParams:
                 f"need 1 <= k <= kbar <= n, got n={self.n} k={self.k} kbar={self.kbar}"
             )
 
+    @functools.cached_property
+    def overlaps(self) -> range:
+        """feasible_overlaps of this triple, computed once."""
+        return feasible_overlaps(self.n, self.k, self.kbar)
+
 
 @dataclass(frozen=True)
 class VertexSubset:
@@ -77,6 +84,18 @@ class VertexSubset:
         for v in self.members:
             m |= 1 << v
         return m
+
+
+def feasible_overlaps(n: int, k: int, kbar: int) -> range:
+    """Overlaps z = |S ∩ planted| that a kbar-subset of n vertices, k of
+    them planted, can have: max(0, kbar-(n-k)) .. min(k, kbar)."""
+    return range(max(0, kbar - (n - k)), min(k, kbar) + 1)
+
+
+def check_overlap(z: int, dom: range) -> None:
+    if not dom.start <= z < dom.stop:  # not `in`: that scans for numpy ints
+        raise ParameterError(f"overlap z={z} infeasible: feasible overlaps are "
+                             f"{dom.start}..{dom.stop - 1}")
 
 
 def mask_to_members(mask: int) -> tuple[int, ...]:
@@ -141,12 +160,10 @@ class BitGraph:
         """Edges of the induced subgraph selected by a vertex bitmask."""
         total = 0
         m = mask
-        v = 0
-        while m:
-            if m & 1:
-                total += (self.rows[v] & mask).bit_count()
-            m >>= 1
-            v += 1
+        while m:  # one pass per member: strip the lowest set bit
+            low = m & -m
+            total += (self.rows[low.bit_length() - 1] & mask).bit_count()
+            m ^= low
         return total // 2
 
 
@@ -197,8 +214,7 @@ def _check_subset(g: BitGraph, s: VertexSubset) -> None:
 def edge_count(g: BitGraph, s: VertexSubset) -> int:
     """Number of edges inside the induced subgraph on s."""
     _check_subset(g, s)
-    mask = s.mask
-    return sum((g.rows[v] & mask).bit_count() for v in s.members) // 2
+    return g.count_in_mask(s.mask)
 
 
 def overlap(g: PlantedGraph, s: VertexSubset) -> int:
@@ -228,18 +244,24 @@ def save_graph(g: BitGraph, path) -> None:
 
 
 def load_graph(path) -> BitGraph:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "pcg" or head[1] != "v1":
-        raise ParameterError(f"bad graph header: {lines[0]!r}")
-    n, k, seed = int(head[2]), int(head[3]), int(head[4])
-    planted = tuple(int(tok) for tok in lines[1].split())
+    """Read a pcg v1 file; any malformed content raises ParameterError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        magic, version, *fields = lines[0].split()
+        if (magic, version) != ("pcg", "v1"):
+            raise ValueError(f"bad graph header: {lines[0]!r}")
+        n, k, seed = map(int, fields)
+        planted = tuple(map(int, lines[1].split()))
+        lower = [int(row, 16) for row in lines[2 : n + 2]]
+    except (IndexError, ValueError) as exc:  # also non-UTF-8 bytes
+        raise ParameterError(f"malformed graph file: {exc}") from None
     if len(planted) != k:
         raise ParameterError("planted list length does not match header")
-    if len(lines) < n + 2:
-        raise ParameterError("truncated graph file")
-    lower = [int(lines[2 + i], 16) for i in range(n)]
+    if len(lower) != n:
+        raise ParameterError(f"{len(lower)} adjacency rows in file, header says n={n}")
+    if any(not 0 <= v < n for v in planted):
+        raise ParameterError(f"planted vertex out of range for n={n}")
     for i in range(n):
         if lower[i] >> i:
             raise ParameterError(f"row {i} has bits at or above the diagonal")

@@ -12,13 +12,12 @@ x in [1/2, 1] with h(1/2) = ln 2 and h(1) = 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, UndefinedCurveError
-from .model import ModelParams
+from .model import ModelParams, check_overlap
 
 LN2 = math.log(2.0)
 
@@ -117,35 +116,27 @@ def _choose2(m: int) -> int:
 # --- first moment curve and relatives ------------------------------------
 
 
-def _check_z(p: ModelParams, z: int) -> None:
-    if z < 0 or z > min(p.k, p.kbar):
-        raise ParameterError(f"overlap z={z} infeasible for k={p.k}, kbar={p.kbar}")
-    if p.kbar - z > p.n - p.k:
-        raise ParameterError(
-            f"kbar - z = {p.kbar - z} exceeds the {p.n - p.k} non-planted vertices"
-        )
-
-
 def log_placements(p: ModelParams, z: int) -> float:
     """ln of the number of kbar-subsets with overlap exactly z:
     ln [ C(k, z) * C(n-k, kbar-z) ]."""
-    _check_z(p, z)
+    check_overlap(z, p.overlaps)
     return log_binomial(p.k, z) + log_binomial(p.n - p.k, p.kbar - z)
 
 
 def log_placements_step(p: ModelParams, z: int) -> float:
     """Exact increment log_placements(z+1) - log_placements(z) in closed form:
     ln [ (k-z)(kbar-z) / ((z+1)(n-k-kbar+z+1)) ]."""
-    _check_z(p, z)
-    _check_z(p, z + 1)
+    check_overlap(z, p.overlaps)
+    check_overlap(z + 1, p.overlaps)
     num = (p.k - z) * (p.kbar - z)
     den = (z + 1) * (p.n - p.k - p.kbar + z + 1)
     return math.log(num) - math.log(den)
 
 
-def domain_lo(p: ModelParams) -> int:
-    """Left end of the overlap domain: floor(kbar*k/n), clamped to feasibility."""
-    return max(p.kbar * p.k // p.n, p.kbar - (p.n - p.k))
+def default_window(p: ModelParams) -> range:
+    """Default overlap window of a curve: the feasible overlaps from
+    floor(kbar*k/n) up."""
+    return range(max(p.kbar * p.k // p.n, p.overlaps.start), p.overlaps.stop)
 
 
 def first_moment_curve(p: ModelParams, z: int) -> float:
@@ -156,7 +147,7 @@ def first_moment_curve(p: ModelParams, z: int) -> float:
     with A(z) = log_placements(p, z).  The fully-overlapping degenerate point
     z = k = kbar evaluates to C(k,2).
     """
-    _check_z(p, z)
+    check_overlap(z, p.overlaps)
     if z == p.kbar:  # only possible when z = k = kbar
         return float(_choose2(p.k))
     cz = _choose2(z)
@@ -178,7 +169,7 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
     `use_k_quadratic=True` swaps C(kbar,2) -> C(k,2) in both occurrences,
     reproducing the plotted small-clique variant of the formula.
     """
-    _check_z(p, z)
+    check_overlap(z, p.overlaps)
     a = log_placements(p, z)
     if a < 0:
         raise DomainError("negative placement log-count")
@@ -193,7 +184,7 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
 def sqrt_approx_renormalized(p: ModelParams, z: int) -> float:
     """kbar^{-3/2} * (sqrt-approx(z) - C(kbar,2)/2), computed without the
     cancellation of subtracting two ~1e11 values."""
-    _check_z(p, z)
+    check_overlap(z, p.overlaps)
     a = log_placements(p, z)
     cz = _choose2(z)
     m = _choose2(p.kbar) - cz
@@ -208,7 +199,7 @@ def first_moment_expansion(p: ModelParams, z: int) -> float:
     M = C(kbar,2) - C(z,2).  Within O(1) of the exact curve once
     kbar >= (ln n)^5.
     """
-    _check_z(p, z)
+    check_overlap(z, p.overlaps)
     cz = _choose2(z)
     m = _choose2(p.kbar) - cz
     if m <= 0:
@@ -293,22 +284,16 @@ _KIND_NAMES = {
 
 
 def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
-               z_hi: int | None = None, threads: int = 1) -> OverlapCurve:
+               z_hi: int | None = None) -> OverlapCurve:
     """Evaluate a deterministic curve on every integer z in [z_lo, z_hi]
-    (defaults: [floor(kbar*k/n), k]).  Thread count never changes the result:
-    points are assembled in z order regardless of completion order."""
+    (defaults: default_window(p), i.e. [floor(kbar*k/n), k])."""
     if kind not in _KIND_EVAL:
         raise ParameterError(f"unknown curve kind {kind!r}")
     fn = _KIND_EVAL[kind]
-    lo = domain_lo(p) if z_lo is None else z_lo
-    hi = p.k if z_hi is None else z_hi
-    zs = list(range(lo, hi + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(lambda z: fn(p, z), zs))
-    else:
-        vals = [fn(p, z) for z in zs]
-    pts = tuple(CurvePoint(z, v) for z, v in zip(zs, vals))
+    window = default_window(p)
+    lo = window.start if z_lo is None else z_lo
+    hi = window[-1] if z_hi is None else z_hi
+    pts = tuple(CurvePoint(z, fn(p, z)) for z in range(lo, hi + 1))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
     return OverlapCurve(params=p, kind=_KIND_NAMES[kind], points=pts, z_lo=lo,
                         z_hi=hi, scale=scale)
@@ -396,7 +381,7 @@ def classify_curve(curve: OverlapCurve, cfg: ClassifierConfig | None = None) -> 
     lo = int(cfg.c0 * p.kbar * p.k / p.n)
     hi = int((1.0 - cfg.epsilon) * p.k)
     if lo > hi - 2:
-        lo = domain_lo(p)
+        lo = default_window(p).start
     if lo < curve.z_lo or hi > curve.z_hi:
         raise ParameterError(
             f"curve domain [{curve.z_lo}, {curve.z_hi}] does not cover window [{lo}, {hi}]"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, ParameterError
 from .model import PlantedGraph, VertexSubset
-from .numerics import CurvePoint, ModelParams, OverlapCurve
+from .numerics import CurvePoint, ModelParams, OverlapCurve, default_window
 from . import landscape
 
 
@@ -42,19 +42,16 @@ class OGPCertificate:
 def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
                   budget: int = 10**8, restarts: int = 20, seed: int = 0,
                   z_lo: int | None = None, z_hi: int | None = None) -> OverlapCurve:
-    """Per-instance curve z -> best edge count at overlap exactly z, over the
-    feasible domain [max(floor(kbar*k/n), kbar-(n-k)), min(k, kbar)] unless a
-    narrower window is requested.
+    """Per-instance curve z -> best edge count at overlap exactly z, over
+    the default window of ModelParams(n, k, kbar) (the feasible overlaps from
+    floor(kbar*k/n) up) unless a narrower window is requested.
 
     Exhaustive entries are exact (certificates allowed); local-search entries
     are lower bounds (evidence only)."""
-    n, k = g.n, g.k
-    if not 1 <= kbar <= n:
-        raise ParameterError(f"need 1 <= kbar <= n, got kbar={kbar}")
-    lo_default = max(kbar * k // n, kbar - (n - k))
-    hi_default = min(k, kbar)
-    z_lo = lo_default if z_lo is None else max(z_lo, lo_default)
-    z_hi = hi_default if z_hi is None else min(z_hi, hi_default)
+    p = ModelParams(g.n, g.k, kbar)
+    window = default_window(p)
+    z_lo = window.start if z_lo is None else max(z_lo, window.start)
+    z_hi = window[-1] if z_hi is None else min(z_hi, window[-1])
     if z_lo > z_hi:
         raise ParameterError(f"empty overlap window [{z_lo}, {z_hi}]")
     pts = []
@@ -69,7 +66,7 @@ def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
             raise ParameterError(f"method must be 'exhaustive' or 'local', got {method!r}")
         results[z] = res
         pts.append(CurvePoint(z, float(res.value)))
-    return OverlapCurve(params=ModelParams(n, k, kbar), kind="Empirical",
+    return OverlapCurve(params=p, kind="Empirical",
                         points=tuple(pts), z_lo=z_lo, z_hi=z_hi,
                         exact=(method == "exhaustive"), results=results)
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import plandscape
 from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, main
 from plandscape.model import load_graph
 from plandscape.ogp import dip_witness, overlap_curve
@@ -197,13 +198,46 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         assert [o["sha256"] for o in ma["outputs"]] == [o["sha256"] for o in mb["outputs"]]
 
 
-def test_threads_do_not_change_results(tmp_path):
-    one, four = tmp_path / "c1.csv", tmp_path / "c4.csv"
-    main(["--threads", "1", "curve", "--n", "5000", "--k", "40", "--kbar", "60",
-          "--out", str(one)])
-    main(["--threads", "4", "curve", "--n", "5000", "--k", "40", "--kbar", "60",
-          "--out", str(four)])
-    assert one.read_bytes() == four.read_bytes()
+def test_manifest_version_is_package_version(tmp_path):
+    out = tmp_path / "g.pcg"
+    assert main(["sample", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "g.pcg.manifest.json").read_text())
+    assert manifest["version"] == plandscape.__version__
+    assert "threads" not in manifest["params"]
+
+
+# bad input -> documented exit code, with a one-line message and never a
+# traceback; {g} is a valid desk-scale graph file
+CONTRACT = [
+    ("curve --n 1000 --k 20 --kbar 20 --kind phi --out c.csv", EXIT_USAGE),
+    ("classify --n 1000 --k 20 --kbar 20 --empirical --kind phi", EXIT_USAGE),
+    ("flatness --K 10 --gamma 0.5 --delta 1.5 --out f.json", EXIT_USAGE),
+    ("flatness --K 10 --gamma 0.5 --delta 0.2 --mode sampled:abc --out f.json", EXIT_USAGE),
+    ("phase --n 1000 --k-grid a,2 --kbar-grid 5 --out p.csv", EXIT_USAGE),
+    ("mcmc --graph {g} --kbar 0 --beta 1.0 --t-max 10 --out tr.csv", EXIT_USAGE),
+    ("sample --seed -1 --out s.pcg", EXIT_USAGE),
+    ("mcmc --graph {g} --beta 1.0 --t-max 10 --seed -1 --out tr.csv", EXIT_USAGE),
+    ("dense --K 5 --out d.json", EXIT_USAGE),
+    ("dense --predict --K 5 --out d.json", EXIT_USAGE),
+    ("ogp --graph {g} --kbar 5 --zeta1 1 --out o.json", EXIT_USAGE),
+    ("ogp --graph {g} --kbar 5 --zeta1 1 --zeta2 3 --out o.json", EXIT_USAGE),
+    ("d-curve --graph {g} --kbar 3 --out d.csv", EXIT_USAGE),
+    ("dense --graph {g} --K 5 --method local --restarts -1 --out d.json", EXIT_USAGE),
+    ("dense --graph missing.pcg --K 5 --out d.json", EXIT_USAGE),
+    ("dense --graph {g} --K 9 --budget 5 --out d.json", EXIT_BUDGET),
+]
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT)
+def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--out", "g.pcg"]) == 0
+    capsys.readouterr()
+    assert main(argv.format(g="g.pcg").split()) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
 
 
 def test_help_available_for_all_subcommands(capsys):

@@ -12,13 +12,11 @@ from plandscape.mcmc import (
     ExactGibbs,
     MCMCConfig,
     WellPartition,
-    chain_step,
     conditional_init,
     exact_gibbs,
     free_energy_well_ratio,
     gibbs_log_weight,
     hitting_time,
-    reflected_step,
     run_chain,
     transition_matrix,
     well_ratio_lower_bound,
@@ -72,7 +70,7 @@ def exact_median_escape(n, k, kbar, a1_max, t_cap=100000):
     raise AssertionError("median escape beyond cap")
 
 
-# --- weights and single steps ----------------------------------------------
+# --- weights ----------------------------------------------
 
 
 def test_gibbs_log_weight():
@@ -89,65 +87,69 @@ def test_gibbs_log_weight():
         gibbs_log_weight(g, s, 1.0, kbar=5)
 
 
-def test_chain_step_accepts_nonnegative_delta():
-    g = sample_planted(10, 3, 2)
-    s = VertexSubset.from_iterable(g.planted)
-    rng = rng_from_seed(0)
-    # leaving the planted clique always loses edges; find a gaining swap
-    # from a random subset instead and force it
-    start = VertexSubset.from_iterable([v for v in range(10) if v not in g.planted][:3])
-    for u in start.members:
-        for v in g.planted:
-            delta = (edge_count(g, VertexSubset.from_iterable(
-                [w for w in start.members if w != u] + [v]))
-                - edge_count(g, start))
-            if delta >= 0:
-                out = chain_step(g, start, 5.0, rng, proposal=(u, v))
-                assert v in out.members and u not in out.members
-                return
-    pytest.skip("no nonnegative swap at this seed")
-
-
-def test_chain_step_acceptance_frequency():
-    # fixed proposal accepted with probability min(1, e^{beta * delta})
-    g = sample_planted(10, 4, 7)
-    beta = 1.0
-    start = VertexSubset.from_iterable(g.planted)
-    u = g.planted[0]
-    v = [w for w in range(10) if w not in g.planted][0]
-    delta = (edge_count(g, VertexSubset.from_iterable(
-        [w for w in start.members if w != u] + [v])) - 6)
-    assert delta < 0  # leaving a clique loses edges here
-    want = math.exp(beta * delta)
-    rng = rng_from_seed(42)
-    trials = 10**5
-    hits = sum(chain_step(g, start, beta, rng, proposal=(u, v)) != start
-               for _ in range(trials))
-    sigma = math.sqrt(want * (1 - want) / trials)
-    assert abs(hits / trials - want) <= 3.5 * sigma
-
-
-def test_chain_step_beta_zero_always_moves():
-    g = sample_planted(10, 3, 5)
-    s = VertexSubset.from_iterable(range(3))
-    rng = rng_from_seed(9)
-    for _ in range(200):
-        s2 = chain_step(g, s, 0.0, rng)
-        assert s2 != s  # acceptance probability 1 at infinite temperature
-        s = s2
-        assert s.size == 3
-
-
-def test_chain_step_errors():
-    g = sample_planted(6, 2, 0)
-    with pytest.raises(ParameterError):
-        chain_step(g, VertexSubset.from_iterable(range(6)), 1.0, rng_from_seed(0))
-    with pytest.raises(ParameterError):
-        chain_step(g, VertexSubset.from_iterable(range(3)), 1.0, rng_from_seed(0),
-                   proposal=(5, 1))  # u not inside
-
-
 # --- run_chain ----------------------------------------------------------------
+
+
+ONE_STEP_SEEDS = 10**4
+
+
+def roof_state(g):
+    """A kbar=4 state at the DESK_PART roof (overlap 1): every swap that
+    brings in a planted vertex for a non-planted one leaves the band."""
+    non_planted = [v for v in range(g.n) if v not in g.planted]
+    return VertexSubset.from_iterable([g.planted[0]] + non_planted[:3])
+
+
+@pytest.mark.parametrize("seed, beta, part", [(7, 1.0, None), (7, 0.0, None),
+                                              (DIP_SEED, 0.5, DESK_PART)],
+                         ids=["plain", "beta0", "reflected"])
+def test_run_chain_one_step_law_matches_transition_row(seed, beta, part):
+    # one step from a fixed state, over many seeds, against the exact row of
+    # the (reflected when part is set) Metropolis matrix
+    g = sample_planted(10 if part is None else 12, 4, seed)
+    start = VertexSubset(g.planted) if part is None else roof_state(g)
+    max_overlap = None if part is None else part.a1_max
+    t, states = transition_matrix(g, 4, beta, part=part)
+    i = states.index(start.mask)
+    row = t[i]
+    counts = Counter(
+        run_chain(g, MCMCConfig(beta=beta, kbar=4, t_max=1, seed=s), start,
+                  max_overlap=max_overlap).final_state.mask
+        for s in range(ONE_STEP_SEEDS))
+    assert set(counts) <= set(states)  # never leaves the band
+    for mask, p in zip(states, row):
+        sigma = math.sqrt(p * (1 - p) / ONE_STEP_SEEDS)
+        assert abs(counts[mask] / ONE_STEP_SEEDS - p) <= 3.5 * sigma, (mask, p)
+    if beta == 0.0:  # infinite temperature: every proposal is accepted
+        assert row[i] <= 1e-12 and counts[start.mask] == 0
+    if part is not None:  # band-leaving proposals add self-loop mass
+        plain, plain_states = transition_matrix(g, 4, beta)
+        j = plain_states.index(start.mask)
+        assert row[i] > plain[j, j]
+
+
+def test_run_chain_full_band_identical_to_plain():
+    g = sample_planted(12, 4, 3)
+    cfg = MCMCConfig(beta=0.8, kbar=4, t_max=20000, seed=17, stride=1)
+    init = VertexSubset.from_iterable(range(4))
+    a = run_chain(g, cfg, init)
+    b = run_chain(g, cfg, init, max_overlap=4)  # roof = k: nothing is reflected
+    assert (a.times, a.overlaps, a.edges, a.final_state) == \
+        (b.times, b.overlaps, b.edges, b.final_state)
+
+
+def test_run_chain_errors():
+    g = sample_planted(6, 2, 0)
+    with pytest.raises(ParameterError):  # kbar = n: no swap neighbours
+        run_chain(g, MCMCConfig(beta=1.0, kbar=6, t_max=10, seed=0),
+                  VertexSubset.from_iterable(range(6)))
+    with pytest.raises(ParameterError):  # init size differs from kbar
+        run_chain(g, MCMCConfig(beta=1.0, kbar=3, t_max=10, seed=0),
+                  VertexSubset.from_iterable(range(4)))
+    g = sample_planted(12, 4, DIP_SEED)
+    with pytest.raises(ParameterError):  # init above the reflecting roof
+        run_chain(g, MCMCConfig(beta=1.0, kbar=4, t_max=10, seed=0),
+                  VertexSubset(g.planted), max_overlap=DESK_PART.a1_max)
 
 
 def test_run_chain_zero_steps():
@@ -330,35 +332,6 @@ def test_conditional_init_burn_in_mode():
 
 
 # --- reflected chain ---------------------------------------------------------------
-
-
-def test_reflected_step_rejects_band_exit():
-    g = sample_planted(12, 4, DIP_SEED)
-    # state at the band roof: any overlap-raising proposal is a self-loop
-    non_planted = [v for v in range(12) if v not in g.planted]
-    s = VertexSubset.from_iterable([g.planted[0]] + non_planted[:3])
-    rng = rng_from_seed(1)
-    u = non_planted[0]
-    v = g.planted[1]
-    out = reflected_step(g, s, 0.0, DESK_PART, rng, proposal=(u, v))
-    assert out == s
-
-
-def test_reflected_step_requires_band_state():
-    g = sample_planted(12, 4, DIP_SEED)
-    with pytest.raises(ParameterError):
-        reflected_step(g, VertexSubset(g.planted), 1.0, DESK_PART, rng_from_seed(0))
-
-
-def test_reflected_full_band_identical_to_plain_step():
-    g = sample_planted(12, 4, 3)
-    free = WellPartition(a0_max=3, a1_min=4, a1_max=4, a2_min=10)  # roof = k
-    s1 = s2 = VertexSubset.from_iterable(range(4))
-    r1, r2 = rng_from_seed(17), rng_from_seed(17)
-    for _ in range(500):
-        s1 = chain_step(g, s1, 0.8, r1)
-        s2 = reflected_step(g, s2, 0.8, free, r2)
-        assert s1 == s2
 
 
 def test_reflected_chain_never_exceeds_roof():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plandscape.errors import ParameterError
 from plandscape.model import (
@@ -195,6 +196,48 @@ def test_load_rejects_corrupt_header(tmp_path):
     path.write_text("pcg v2 3 1 0\n0\n0\n0\n0\n")
     with pytest.raises(ParameterError):
         load_graph(path)
+
+
+@pytest.mark.parametrize("text", [
+    "",                                   # empty file
+    "pcg v1 3 1 0\n",                     # no planted line
+    "pcg v1 3 x 0\n0\n0\n1\n3\n",         # non-integer header field
+    "pcg v1 3 1\n0\n0\n1\n3\n",           # header field missing
+    "pcg v1 3 1 0\n3\n0\n1\n3\n",         # planted vertex >= n
+    "pcg v1 3 1 0\n-1\n0\n1\n3\n",        # negative planted vertex
+    "pcg v1 3 1 0\n0\n0\nzz\n3\n",        # non-hex row
+    "pcg v1 3 1 0\n0\n0\n1\n",            # truncated
+    "pcg v1 -1 0 0\n\n",                  # negative n
+])
+def test_load_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "bad.pcg"
+    path.write_text(text)
+    with pytest.raises(ParameterError):
+        load_graph(path)
+
+
+SPLICES = st.one_of(st.binary(max_size=3),
+                    st.sampled_from([b"\n", b" ", b"-", b"9", b"99", b"g", b"\xff"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 3), SPLICES),
+                min_size=1, max_size=3))
+def test_load_mutated_file_raises_only_parameter_error(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "mutated.pcg"
+    save_graph(sample_planted(9, 3, 5), path)
+    data = bytearray(path.read_bytes())
+    for pos, cut, ins in edits:  # delete `cut` bytes at pos, insert `ins`
+        pos %= len(data) + 1
+        data[pos : pos + cut] = ins
+    path.write_bytes(bytes(data))
+    try:
+        g = load_graph(path)
+    except ParameterError:
+        return
+    save_graph(g, path)  # whatever loads must round-trip
+    h = load_graph(path)
+    assert h.rows == g.rows and getattr(h, "planted", ()) == getattr(g, "planted", ())
 
 
 def test_out_of_range_subset_rejected():

@@ -374,13 +374,6 @@ def test_classifier_config_validation():
         ClassifierConfig(d1=2.0, d2=1.0)
 
 
-def test_curve_grid_threads_deterministic():
-    p = ModelParams(5000, 40, 60)
-    a = curve_grid(p, "gamma-tilde", threads=1)
-    b = curve_grid(p, "gamma-tilde", threads=4)
-    assert a.points == b.points
-
-
 def test_phase_diagram_labels():
     n = 10**6
     table = phase_diagram(n, [100, 2000], [100, 1500, 10**5, 900000])

@@ -173,3 +173,9 @@ def test_overlap_curve_optional_window():
     assert [win.value(z) for z in (2, 3)] == [full.value(2), full.value(3)]
     with pytest.raises(ParameterError):
         overlap_curve(g, 5, z_lo=4, z_hi=2)
+
+
+def test_overlap_curve_rejects_kbar_below_k_before_enumerating():
+    g = sample_planted(12, 4, 0)
+    with pytest.raises(ParameterError):  # a BudgetError would mean it enumerated
+        overlap_curve(g, 3, budget=1)
