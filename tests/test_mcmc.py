@@ -100,6 +100,26 @@ def roof_state(g):
     return VertexSubset.from_iterable([g.planted[0]] + non_planted[:3])
 
 
+def swap_deltas(g, s):
+    """{neighbour mask: edge delta} over all (u in s, v outside) swaps,
+    counted from scratch with edge_count."""
+    base = edge_count(g, s)
+    out = {}
+    for u in s.members:
+        for v in range(g.n):
+            if v not in s.members:
+                t = VertexSubset.from_iterable([w for w in s.members if w != u] + [v])
+                out[t.mask] = edge_count(g, t) - base
+    return out
+
+
+def one_step_counts(g, beta, start, max_overlap=None):
+    return Counter(
+        run_chain(g, MCMCConfig(beta=beta, kbar=start.size, t_max=1, seed=s),
+                  start, max_overlap=max_overlap).final_state.mask
+        for s in range(ONE_STEP_SEEDS))
+
+
 @pytest.mark.parametrize("seed, beta, part", [(7, 1.0, None), (7, 0.0, None),
                                               (DIP_SEED, 0.5, DESK_PART)],
                          ids=["plain", "beta0", "reflected"])
@@ -112,10 +132,7 @@ def test_run_chain_one_step_law_matches_transition_row(seed, beta, part):
     t, states = transition_matrix(g, 4, beta, part=part)
     i = states.index(start.mask)
     row = t[i]
-    counts = Counter(
-        run_chain(g, MCMCConfig(beta=beta, kbar=4, t_max=1, seed=s), start,
-                  max_overlap=max_overlap).final_state.mask
-        for s in range(ONE_STEP_SEEDS))
+    counts = one_step_counts(g, beta, start, max_overlap)
     assert set(counts) <= set(states)  # never leaves the band
     for mask, p in zip(states, row):
         sigma = math.sqrt(p * (1 - p) / ONE_STEP_SEEDS)
@@ -138,7 +155,40 @@ def test_run_chain_full_band_identical_to_plain():
         (b.times, b.overlaps, b.edges, b.final_state)
 
 
-def test_run_chain_errors():
+def test_chain_step_acceptance_frequency():
+    # one step from the planted clique moves with probability equal to the
+    # proposal-average of min(1, e^{beta * delta})
+    g = sample_planted(10, 4, 7)
+    beta = 1.0
+    start = VertexSubset(g.planted)
+    deltas = swap_deltas(g, start)
+    assert min(deltas.values()) < 0  # leaving a clique loses edges here
+    want = sum(min(1.0, math.exp(beta * d)) for d in deltas.values()) / len(deltas)
+    counts = one_step_counts(g, beta, start)
+    moved = ONE_STEP_SEEDS - counts[start.mask]
+    sigma = math.sqrt(want * (1 - want) / ONE_STEP_SEEDS)
+    assert abs(moved / ONE_STEP_SEEDS - want) <= 3.5 * sigma
+    assert set(counts) <= set(deltas) | {start.mask}
+
+
+def test_chain_step_accepts_nonnegative_delta():
+    # at beta = 50 a losing swap is accepted with probability <= e^-50, so a
+    # step moves exactly when the proposed swap does not lose edges, and each
+    # such swap is reached with its full proposal mass 1 / (kbar (n - kbar))
+    g = sample_planted(10, 3, 2)
+    start = VertexSubset.from_iterable([v for v in range(10) if v not in g.planted][:3])
+    deltas = swap_deltas(g, start)
+    gaining = {m for m, d in deltas.items() if d >= 0}
+    assert gaining and len(gaining) < len(deltas)
+    counts = one_step_counts(g, 50.0, start)
+    assert set(counts) <= gaining | {start.mask}
+    p = 1 / len(deltas)
+    sigma = math.sqrt(p * (1 - p) / ONE_STEP_SEEDS)
+    for mask in gaining:
+        assert abs(counts[mask] / ONE_STEP_SEEDS - p) <= 3.5 * sigma, mask
+
+
+def test_chain_step_errors():
     g = sample_planted(6, 2, 0)
     with pytest.raises(ParameterError):  # kbar = n: no swap neighbours
         run_chain(g, MCMCConfig(beta=1.0, kbar=6, t_max=10, seed=0),
@@ -146,10 +196,16 @@ def test_run_chain_errors():
     with pytest.raises(ParameterError):  # init size differs from kbar
         run_chain(g, MCMCConfig(beta=1.0, kbar=3, t_max=10, seed=0),
                   VertexSubset.from_iterable(range(4)))
+
+
+def test_reflected_step_requires_band_state():
     g = sample_planted(12, 4, DIP_SEED)
     with pytest.raises(ParameterError):  # init above the reflecting roof
         run_chain(g, MCMCConfig(beta=1.0, kbar=4, t_max=10, seed=0),
                   VertexSubset(g.planted), max_overlap=DESK_PART.a1_max)
+    roof = roof_state(g)  # at the roof itself the run starts
+    run_chain(g, MCMCConfig(beta=1.0, kbar=4, t_max=10, seed=0), roof,
+              max_overlap=DESK_PART.a1_max)
 
 
 def test_run_chain_zero_steps():
