@@ -104,7 +104,9 @@ def _cmd_classify(args):
     p = ModelParams(args.n, args.k, args.kbar)
     if args.empirical:
         cfg = numerics.ClassifierConfig(epsilon=args.epsilon, c0=args.c0)
-        res = numerics.classify_curve(numerics.curve_grid(p, args.kind), cfg)
+        window = numerics.classifier_window(p, cfg)
+        curve = numerics.curve_grid(p, args.kind, window.start, window.stop - 1)
+        res = numerics.classify_curve(curve, cfg)
     else:
         res = numerics.classify_params(p, margin=args.margin)
     print(res.label)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .model import ModelParams, PlantedGraph, VertexSubset, mask_to_members, rng_from_seed
-from .landscape import _enum_counts
+from .landscape import _induced_edges, _pack_words, _subset_words, _word_ints, subset_blocks
 from .numerics import log_placements
 
 _BLOCK = 1 << 15
+_SLICE = 1 << 12  # draws turned into Python lists at a time; bounds their memory
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,10 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
     rng = rng_from_seed(cfg.seed)
     rows = g.rows
     pmask = g.planted_mask
+    mask = init.mask
 
     in_list = list(init.members)
-    out_list = [v for v in range(n) if v not in set(init.members)]
-    mask = init.mask
+    out_list = [v for v in range(n) if not mask >> v & 1]
     edges = g.count_in_mask(mask)
     ov = (mask & pmask).bit_count()
     if max_overlap is not None and ov > max_overlap:
@@ -143,43 +144,49 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
     times, overlaps_rec, edges_rec = [0], [ov], [edges]
     visits: dict | None = {} if count_visits else None
     hit_time = None
+    stride, t_max = cfg.stride, cfg.t_max
+    # overlaps never exceed n, so n stands for "no roof" and "never stop"
+    roof = n if max_overlap is None else max_overlap
+    stop = n if stop_above is None else stop_above
     t = 0
     done = False
-    while t < cfg.t_max and not done:
-        block = min(_BLOCK, cfg.t_max - t)
+    while t < t_max and not done:
+        block = min(_BLOCK, t_max - t)
         ui = rng.integers(0, kbar, size=block)
         vi = rng.integers(0, n - kbar, size=block)
         uni = rng.random(size=block)
-        for i in range(block):
-            t += 1
-            u = in_list[ui[i]]
-            v = out_list[vi[i]]
-            pu = pmask >> u & 1
-            pv = pmask >> v & 1
-            new_ov = ov - pu + pv
-            if max_overlap is None or new_ov <= max_overlap:
-                m2 = mask ^ (1 << u)
-                d = (rows[v] & m2).bit_count() - (rows[u] & mask).bit_count()
-                if d >= 0 or uni[i] < table[d]:
-                    mask = m2 | (1 << v)
-                    in_list[ui[i]] = v
-                    out_list[vi[i]] = u
-                    edges += d
-                    ov = new_ov
-            if visits is not None:
-                visits[mask] = visits.get(mask, 0) + 1
-            if t % cfg.stride == 0:
-                times.append(t)
-                overlaps_rec.append(ov)
-                edges_rec.append(edges)
-            if stop_above is not None and ov > stop_above:
-                hit_time = t
-                if t % cfg.stride:
+        for lo in range(0, block, _SLICE):
+            if done:
+                break
+            hi = lo + _SLICE
+            for a, b, r in zip(ui[lo:hi].tolist(), vi[lo:hi].tolist(), uni[lo:hi].tolist()):
+                t += 1
+                u = in_list[a]
+                v = out_list[b]
+                new_ov = ov - (pmask >> u & 1) + (pmask >> v & 1)
+                if new_ov <= roof:
+                    m2 = mask ^ (1 << u)
+                    d = (rows[v] & m2).bit_count() - (rows[u] & mask).bit_count()
+                    if d >= 0 or r < table[d]:
+                        mask = m2 | (1 << v)
+                        in_list[a] = v
+                        out_list[b] = u
+                        edges += d
+                        ov = new_ov
+                if visits is not None:
+                    visits[mask] = visits.get(mask, 0) + 1
+                if t % stride == 0:
                     times.append(t)
                     overlaps_rec.append(ov)
                     edges_rec.append(edges)
-                done = True
-                break
+                if ov > stop:
+                    hit_time = t
+                    if t % stride:
+                        times.append(t)
+                        overlaps_rec.append(ov)
+                        edges_rec.append(edges)
+                    done = True
+                    break
     return ChainTrace(times=times, overlaps=overlaps_rec, edges=edges_rec,
                       hit_time=hit_time, final_state=VertexSubset.from_iterable(in_list),
                       t_max=cfg.t_max, visits=visits)
@@ -264,13 +271,19 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
     total = math.comb(n, kbar)
     if total > budget:
         raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
+    planted = np.zeros(n, dtype=bool)
+    planted[list(g.planted)] = True
+    row_words = _pack_words(g.dense)
     masks = []
     weights = np.empty(total)
     overlaps = np.empty(total, dtype=np.int64)
-    for i, (mask, count) in enumerate(_enum_counts(g.rows, list(range(n)), kbar, 0, 0, 0)):
-        masks.append(mask)
-        weights[i] = beta * count
-        overlaps[i] = (mask & g.planted_mask).bit_count()
+    i = 0
+    for c in subset_blocks(n, kbar):
+        words = _subset_words(c, n)
+        masks += _word_ints(words)
+        weights[i:i + len(c)] = beta * _induced_edges(row_words, c, words)
+        overlaps[i:i + len(c)] = planted[c].sum(axis=1)
+        i += len(c)
     m = float(weights.max())
     log_z = m + math.log(float(np.exp(weights - m).sum()))
     return ExactGibbs(params=ModelParams(n, g.k, kbar), beta=beta, masks=masks,
@@ -355,10 +368,13 @@ def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
     total = math.comb(n, kbar)
     if total > budget:
         raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
+    planted = np.zeros(n, dtype=bool)
+    planted[list(g.planted)] = True
     states = []
-    for mask, _ in _enum_counts(g.rows, list(range(n)), kbar, 0, 0, 0):
-        if part is None or (mask & g.planted_mask).bit_count() <= part.a1_max:
-            states.append(mask)
+    for c in subset_blocks(n, kbar):
+        if part is not None:  # the reflected chain keeps only band states
+            c = c[planted[c].sum(axis=1) <= part.a1_max]
+        states += _word_ints(_subset_words(c, n))
     index = {m: i for i, m in enumerate(states)}
     prop = 1.0 / (kbar * (n - kbar))
     t = np.zeros((len(states), len(states)))

@@ -286,13 +286,18 @@ _KIND_NAMES = {
 def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
                z_hi: int | None = None) -> OverlapCurve:
     """Evaluate a deterministic curve on every integer z in [z_lo, z_hi]
-    (defaults: default_window(p), i.e. [floor(kbar*k/n), k])."""
+    (defaults: default_window(p), i.e. [floor(kbar*k/n), k]).  Both ends
+    must be feasible overlaps and the window must not be empty."""
     if kind not in _KIND_EVAL:
         raise ParameterError(f"unknown curve kind {kind!r}")
     fn = _KIND_EVAL[kind]
     window = default_window(p)
     lo = window.start if z_lo is None else z_lo
     hi = window[-1] if z_hi is None else z_hi
+    check_overlap(lo, p.overlaps)
+    check_overlap(hi, p.overlaps)
+    if lo > hi:
+        raise ParameterError(f"empty overlap window [{lo}, {hi}]")
     pts = tuple(CurvePoint(z, fn(p, z)) for z in range(lo, hi + 1))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
     return OverlapCurve(params=p, kind=_KIND_NAMES[kind], points=pts, z_lo=lo,
@@ -367,6 +372,18 @@ def classify_params(p: ModelParams, margin: float = 1.0) -> MonotonicityClass:
     return MonotonicityClass(NON_MONOTONIC)
 
 
+def classifier_window(p: ModelParams, cfg: ClassifierConfig | None = None) -> range:
+    """The overlaps classify_curve reads: [floor(c0*kbar*k/n), (1-epsilon)*k],
+    with the lower end falling back to default_window(p) when the c0-shrunk
+    window keeps fewer than 3 points."""
+    cfg = cfg or ClassifierConfig()
+    lo = int(cfg.c0 * p.kbar * p.k / p.n)
+    hi = int((1.0 - cfg.epsilon) * p.k)
+    if lo > hi - 2:
+        lo = default_window(p).start
+    return range(lo, hi + 1)
+
+
 def classify_curve(curve: OverlapCurve, cfg: ClassifierConfig | None = None) -> MonotonicityClass:
     """Classify an evaluated curve by successive-difference signs on the
     shrunk window I = [floor(c0*kbar*k/n), (1-epsilon)*k].
@@ -378,10 +395,8 @@ def classify_curve(curve: OverlapCurve, cfg: ClassifierConfig | None = None) -> 
     """
     cfg = cfg or ClassifierConfig()
     p = curve.params
-    lo = int(cfg.c0 * p.kbar * p.k / p.n)
-    hi = int((1.0 - cfg.epsilon) * p.k)
-    if lo > hi - 2:
-        lo = default_window(p).start
+    window = classifier_window(p, cfg)
+    lo, hi = window.start, window.stop - 1
     if lo < curve.z_lo or hi > curve.z_hi:
         raise ParameterError(
             f"curve domain [{curve.z_lo}, {curve.z_hi}] does not cover window [{lo}, {hi}]"

@@ -206,11 +206,12 @@ def test_manifest_version_is_package_version(tmp_path):
     assert "threads" not in manifest["params"]
 
 
-# bad input -> documented exit code, with a one-line message and never a
-# traceback; {g} is a valid desk-scale graph file
+# input -> documented exit code: a one-line message on failure, an empty
+# stderr on success, never a traceback; {g} is a valid desk-scale graph file
 CONTRACT = [
     ("curve --n 1000 --k 20 --kbar 20 --kind phi --out c.csv", EXIT_USAGE),
-    ("classify --n 1000 --k 20 --kbar 20 --empirical --kind phi", EXIT_USAGE),
+    ("curve --n 1000 --k 20 --kbar 30 --z-lo 25 --out c.csv", EXIT_USAGE),
+    ("classify --n 1000 --k 20 --kbar 20 --empirical --kind phi", 0),
     ("flatness --K 10 --gamma 0.5 --delta 1.5 --out f.json", EXIT_USAGE),
     ("flatness --K 10 --gamma 0.5 --delta 0.2 --mode sampled:abc --out f.json", EXIT_USAGE),
     ("phase --n 1000 --k-grid a,2 --kbar-grid 5 --out p.csv", EXIT_USAGE),
@@ -236,6 +237,9 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     assert main(argv.format(g="g.pcg").split()) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        return
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
 

@@ -1,10 +1,12 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plandscape import landscape
 from plandscape.errors import BudgetError, DomainError, ParameterError
 from plandscape.landscape import (
     EXHAUSTIVE,
@@ -16,13 +18,17 @@ from plandscape.landscape import (
     local_search_densest,
     log_binomial_tail,
     log_expected_dense_count,
+    subset_blocks,
 )
+from plandscape.mcmc import WellPartition, exact_gibbs, transition_matrix
 from plandscape.model import (
     BitGraph,
     ModelParams,
     PlantedGraph,
     VertexSubset,
     edge_count,
+    feasible_overlaps,
+    mask_to_members,
     rng_from_seed,
     sample_planted,
 )
@@ -200,6 +206,126 @@ def test_max_over_z_equals_unconstrained():
         g = sample_planted(14, 4, seed)
         by_overlap = max(densest_with_overlap(g, 5, z).value for z in range(5))
         assert by_overlap == densest_subgraph(g, 5).value
+
+
+# The recursive generator the block enumerator replaced, kept as the oracle:
+# it yields (mask, edge count) over the size-subsets of pool[start:] in
+# lexicographic order, updating the count one vertex at a time.
+def enum_counts_reference(rows, pool, size, start, mask, count):
+    if size == 0:
+        yield mask, count
+        return
+    for i in range(start, len(pool) - size + 1):
+        v = pool[i]
+        add = (rows[v] & mask).bit_count()
+        yield from enum_counts_reference(rows, pool, size - 1, i + 1, mask | (1 << v), count + add)
+
+
+def reference_exact_gibbs(g, kbar, beta):
+    masks, weights, overlaps = [], [], []
+    for mask, count in enum_counts_reference(g.rows, list(range(g.n)), kbar, 0, 0, 0):
+        masks.append(mask)
+        weights.append(beta * count)
+        overlaps.append((mask & g.planted_mask).bit_count())
+    w = np.array(weights)
+    m = float(w.max())
+    return masks, w, np.array(overlaps, dtype=np.int64), m + math.log(float(np.exp(w - m).sum()))
+
+
+def reference_densest_with_overlap(g, kbar, z):
+    non_planted = [v for v in range(g.n) if not (g.planted_mask >> v & 1)]
+    best_val, best_members = -1, None
+    for pmask, pcount in enum_counts_reference(g.rows, list(g.planted), z, 0, 0, 0):
+        for fmask, fcount in enum_counts_reference(g.rows, non_planted, kbar - z, 0, pmask, pcount):
+            cand = mask_to_members(fmask)
+            if fcount > best_val or (fcount == best_val and cand < best_members):
+                best_val, best_members = fcount, cand
+    return best_val, best_members
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.one_of(st.integers(1, 40), st.just(landscape._ROWS)))
+def test_subset_blocks_match_combinations(nk, rows):
+    n, k = nk
+    limit = 600  # compare a prefix when C(n, k) is out of reach
+    got = []
+    with mock.patch.object(landscape, "_ROWS", rows):
+        for block in subset_blocks(n, k):
+            assert block.dtype == np.intp and block.shape[1] == k and 1 <= len(block) <= rows
+            got += map(tuple, block.tolist())
+            if len(got) >= limit:
+                break
+    assert got == list(islice(combinations(range(n), k), len(got)))
+    assert len(got) >= limit or len(got) == math.comb(n, k)
+
+
+def test_subset_blocks_default_rows_cover_large_enumeration():
+    blocks = list(subset_blocks(20, 8))
+    assert len(blocks) > 1 and max(len(b) for b in blocks) <= landscape._ROWS
+    assert list(map(tuple, np.concatenate(blocks).tolist())) == list(combinations(range(20), 8))
+    with pytest.raises(ParameterError):
+        next(subset_blocks(5, 6))
+
+
+@st.composite
+def enum_graphs(draw, n_max=70):
+    """A graph on up to 70 vertices (masks cross one 64-bit word) of any
+    density, with a planted set that is listed in any order."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, n))
+    density = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    base = BitGraph.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))])
+    planted = tuple(int(v) for v in rng.permutation(n)[:k])
+    return PlantedGraph(n=n, rows=base.rows, planted=planted,
+                        planted_mask=sum(1 << v for v in planted))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 0.7, 2.5]), st.sampled_from([1, 7, landscape._ROWS]))
+def test_exact_gibbs_and_states_match_recursive_reference(data, beta, rows):
+    g = data.draw(enum_graphs())
+    kbar = data.draw(st.sampled_from([kb for kb in range(g.k, g.n + 1) if math.comb(g.n, kb) <= 3000]))
+    masks, weights, overlaps, log_z = reference_exact_gibbs(g, kbar, beta)
+    with mock.patch.object(landscape, "_ROWS", rows):
+        eg = exact_gibbs(g, kbar, beta)
+        assert eg.masks == masks and all(type(m) is int for m in eg.masks)
+        assert eg.log_weights.tobytes() == weights.tobytes()
+        assert eg.overlaps.tobytes() == overlaps.tobytes()
+        assert eg.log_z == log_z
+        if kbar < g.n and len(masks) <= 300:
+            roof = data.draw(st.one_of(st.none(), st.integers(0, g.k)))
+            part = None if roof is None else WellPartition(0, 0, roof, roof + 1)
+            _, states = transition_matrix(g, kbar, beta, part=part)
+            assert states == [m for m, z in zip(masks, overlaps) if roof is None or z <= roof]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([1, 5, landscape._ROWS]))
+def test_densest_with_overlap_matches_recursive_reference(data, rows):
+    g = data.draw(enum_graphs())
+    n, k = g.n, g.k
+    cases = [(kbar, z) for kbar in range(1, n + 1) for z in feasible_overlaps(n, k, kbar)
+             if math.comb(k, z) * math.comb(n - k, kbar - z) <= 1000]
+    kbar, z = data.draw(st.sampled_from(cases))
+    with mock.patch.object(landscape, "_ROWS", rows):
+        r = densest_with_overlap(g, kbar, z)
+    assert (r.value, r.witness.members) == reference_densest_with_overlap(g, kbar, z)
+
+
+def test_exact_paths_match_reference_past_one_word():
+    g = sample_planted(66, 5, 3)
+    masks, weights, overlaps, log_z = reference_exact_gibbs(g, 65, 1.5)
+    eg = exact_gibbs(g, 65, 1.5)
+    assert max(masks).bit_length() == 66 and eg.masks == masks
+    assert eg.log_weights.tobytes() == weights.tobytes() and eg.log_z == log_z
+    assert eg.overlaps.tobytes() == overlaps.tobytes()
+    assert transition_matrix(g, 65, 1.5)[1] == masks
+    for z in range(4):
+        r = densest_with_overlap(g, 3, z)
+        assert (r.value, r.witness.members) == reference_densest_with_overlap(g, 3, z)
 
 
 # --- local search ---------------------------------------------------------------

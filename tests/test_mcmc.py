@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import statistics
 from collections import Counter
@@ -263,6 +265,52 @@ def test_run_chain_edge_bookkeeping():
     tr = run_chain(g, cfg, VertexSubset.from_iterable(range(4)))
     assert tr.edges[-1] == edge_count(g, tr.final_state)
     assert tr.overlaps[-1] == len(set(tr.final_state.members) & set(g.planted))
+
+
+def trace_digests(tr):
+    fields = {"times": tr.times, "overlaps": tr.overlaps, "edges": tr.edges,
+              "hit_time": tr.hit_time, "final_state": list(tr.final_state.members),
+              "visits": None if tr.visits is None else sorted(tr.visits.items())}
+    return {name: hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()[:16]
+            for name, v in fields.items()}
+
+
+# sha256 prefixes of every trace field, recorded from the reference loop (the
+# one that indexed numpy blocks per step).  Any rewrite of run_chain must keep
+# each of them: the chain is keyed by its seed, so a trace is a fixed value.
+# hit_time and visits read the same for every run without a hit / count.
+NONE_DIGEST = "74234e98afe7498f"
+GOLDEN_TRACES = {
+    "plain": (dict(beta=1.0, t_max=5000, seed=11), {}, {
+        "times": "1962068ca8b8104a", "overlaps": "c4b17ef6b14c6576", "edges": "b95d66b5756e4ee9",
+        "hit_time": NONE_DIGEST, "final_state": "8507604494797140", "visits": NONE_DIGEST}),
+    "reflected": (dict(beta=2.0, t_max=5000, seed=12), dict(max_overlap=1), {
+        "times": "1962068ca8b8104a", "overlaps": "a8aad12b3531da28", "edges": "35f4e85cec1854d7",
+        "hit_time": NONE_DIGEST, "final_state": "8a5f7e40b2acb58d", "visits": NONE_DIGEST}),
+    "stop_above": (dict(beta=0.5, t_max=60000, seed=16, stride=7), dict(stop_above=3), {
+        "times": "05cb8394585832bd", "overlaps": "dca92c202c58d699", "edges": "4ed34cc0d7bd82ee",
+        "hit_time": "2b9449f314bf9314", "final_state": "0eb87b4157bd9dc9", "visits": NONE_DIGEST}),
+    "count_visits": (dict(beta=0.5, t_max=3000, seed=14), dict(count_visits=True), {
+        "times": "72c193240eb9f593", "overlaps": "91a5404bc0005c52", "edges": "71833cc28696c3bf",
+        "hit_time": NONE_DIGEST, "final_state": "371b30bece7cc2a1", "visits": "d29183eead7f06ad"}),
+    "stride": (dict(beta=1.0, t_max=10000, seed=15, stride=37), {}, {
+        "times": "2748894b5d32fa60", "overlaps": "b11ef811530e4c53", "edges": "0f23c4b10305a263",
+        "hit_time": NONE_DIGEST, "final_state": "ea4354016854eb4a", "visits": NONE_DIGEST}),
+    # crosses the 32768-step random block
+    "block_boundary": (dict(beta=0.5, t_max=40000, seed=16, stride=1000), {}, {
+        "times": "2824a84dbe45c1ed", "overlaps": "8ff6bd1a4eb0186e", "edges": "a7f66217e5b3a211",
+        "hit_time": NONE_DIGEST, "final_state": "cb57eabec29b6db4", "visits": NONE_DIGEST}),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRACES)
+def test_run_chain_trace_matches_golden_digest(case):
+    cfg, kwargs, want = GOLDEN_TRACES[case]
+    g = sample_planted(14, 4, 5)
+    init = VertexSubset.from_iterable([v for v in range(14) if v not in g.planted][:5])
+    tr = run_chain(g, MCMCConfig(kbar=5, **cfg), init, **kwargs)
+    assert trace_digests(tr) == want
+    assert (tr.hit_time == 736) == (case == "stop_above")
 
 
 # --- exact Gibbs ---------------------------------------------------------------

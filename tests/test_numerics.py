@@ -19,6 +19,7 @@ from plandscape.numerics import (
     binary_entropy,
     binary_entropy_inv,
     classify_curve,
+    classifier_window,
     classify_params,
     curve_grid,
     entropy_inv_series,
@@ -365,6 +366,33 @@ def test_classifier_consistency_paper_settings():
         emp = classify_curve(curve_grid(p, "gamma")).label
         asym = classify_params(p).label
         assert emp == asym, (k, kbar, emp, asym)
+
+
+def test_curve_grid_rejects_windows_outside_feasible_overlaps():
+    p = ModelParams(1000, 20, 30)  # feasible overlaps 0..20
+    with pytest.raises(ParameterError, match="infeasible"):
+        curve_grid(p, "gamma", 25)  # the whole window lies past k
+    with pytest.raises(ParameterError, match="infeasible"):
+        curve_grid(p, "gamma", 5, 21)
+    with pytest.raises(ParameterError, match="infeasible"):
+        curve_grid(ModelParams(20, 10, 15), "gamma", 4)  # feasible overlaps 5..10
+    with pytest.raises(ParameterError, match="empty"):
+        curve_grid(p, "gamma", 10, 5)
+    assert [pt.z for pt in curve_grid(p, "gamma", 20).points] == [20]
+
+
+def test_classifier_window_lets_phi_classify_at_k_equal_kbar():
+    p = ModelParams(1000, 20, 20)
+    window = classifier_window(p)
+    assert window == range(int(8.0 * 20 * 20 / 1000), 19)  # ends at (1 - 0.1) k < kbar
+    with pytest.raises(DomainError):
+        curve_grid(p, "phi")  # the default window reaches z = kbar
+    res = classify_curve(curve_grid(p, "phi", window.start, window[-1]))
+    assert res.label == NON_MONOTONIC
+    # the verdict reads only the window, so a wider curve gives the same one
+    q = ModelParams(1000, 20, 30)
+    w = classifier_window(q)
+    assert classify_curve(curve_grid(q, "phi", w.start, w[-1])) == classify_curve(curve_grid(q, "phi"))
 
 
 def test_classifier_config_validation():
