@@ -214,7 +214,11 @@ class ExactGibbs:
     def prob_of(self, mask: int) -> float:
         if self._index is None:
             self._index = {m: i for i, m in enumerate(self.masks)}
-        return float(np.exp(self.log_weights[self._index[mask]] - self.log_z))
+        i = self._index.get(mask)
+        if i is None:
+            raise ParameterError(f"mask {mask!r} is not a {self.params.kbar}-subset "
+                                 f"of the {self.params.n} vertices")
+        return float(np.exp(self.log_weights[i] - self.log_z))
 
     def overlap_marginal(self) -> np.ndarray:
         """Probability mass per overlap value, indexed 0..k."""
@@ -268,6 +272,7 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
     """Exact Gibbs distribution by enumerating every kbar-subset (explicit
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
     n = g.n
+    p = ModelParams(n, g.k, kbar)
     total = math.comb(n, kbar)
     if total > budget:
         raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
@@ -286,7 +291,7 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
         i += len(c)
     m = float(weights.max())
     log_z = m + math.log(float(np.exp(weights - m).sum()))
-    return ExactGibbs(params=ModelParams(n, g.k, kbar), beta=beta, masks=masks,
+    return ExactGibbs(params=p, beta=beta, masks=masks,
                       log_weights=weights, overlaps=overlaps, log_z=log_z)
 
 
@@ -365,6 +370,7 @@ def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
     scale only).  With `part`, rows outside the band are dropped and
     band-leaving proposals become self-loops (the reflected chain)."""
     n = g.n
+    p = ModelParams(n, g.k, kbar)
     total = math.comb(n, kbar)
     if total > budget:
         raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")

@@ -59,7 +59,11 @@ def binary_entropy_inv(y: float, tol: float = 1e-13) -> float:
             lo = mid
         else:
             hi = mid
-    x = 0.5 * (lo + hi)
+    return _newton_polish(0.5 * (lo + hi), y)
+
+
+def _newton_polish(x: float, y: float) -> float:
+    """Two Newton steps on h(x) = y from the bisection midpoint x."""
     for _ in range(2):
         if x >= 1.0:  # y below ~4e-15: the root is 1 up to double resolution
             return 1.0
@@ -69,6 +73,37 @@ def binary_entropy_inv(y: float, tol: float = 1e-13) -> float:
         x -= (binary_entropy(x) - y) / d
         x = min(max(x, 0.5), 1.0)
     return x
+
+
+def _entropy_inv_many(ys) -> list[float]:
+    """[binary_entropy_inv(y) for y in ys], bit for bit, with the bisection
+    run on all lanes in lockstep.
+
+    The brackets are dyadic, so every lane halves the same number of times
+    and mid = lo + width/2 is exact, as 0.5*(lo+hi) is.  np.log may differ
+    from math.log in the last ulp, which moves h by ~1e-16; a lane whose h
+    lies within 1e-14 of y redoes that comparison with math.log, so every
+    bracket equals the scalar one.  The Newton polish stays scalar.
+    """
+    out = [None if 0.0 < y < LN2 else binary_entropy_inv(y) for y in ys]
+    idx = [i for i, x in enumerate(out) if x is None]
+    y = np.array([ys[i] for i in idx], dtype=np.float64)
+    lo = np.full(len(idx), 0.5)
+    width = 0.5
+    while width > 1e-13:
+        width *= 0.5
+        mid = lo + width
+        q = 1.0 - mid
+        h = -mid * np.log(mid) - q * np.log(q)
+        above = h > y
+        near = np.flatnonzero(np.abs(h - y) <= 1e-14)
+        if near.size:
+            above[near] = [binary_entropy(m) > v
+                           for m, v in zip(mid[near].tolist(), y[near].tolist())]
+        lo = np.where(above, mid, lo)
+    for i, x in zip(idx, (lo + 0.5 * width).tolist()):
+        out[i] = _newton_polish(x, ys[i])
+    return out
 
 
 def rate_function(gamma: float) -> float:
@@ -109,11 +144,30 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _log_binomials(n: int, ks) -> list[float]:
+    """[log_binomial(n, k) for k in ks], bit for bit, for valid k: one table
+    ln(n-top+1) .. ln n serves every direct sum, top the longest side.  Side
+    s sums the table's last s entries, which are the elements, length and
+    pairwise order of log_binomial's own fresh ln(n-s+1) .. ln n."""
+    sides = [min(k, n - k) for k in ks]
+    top = max([s for s in sides if s <= _LGAMMA_MIN_SIDE], default=0)
+    table = np.log(np.arange(n - top + 1, n + 1, dtype=np.float64))
+    return [0.0 if s == 0
+            else float(table[top - s:].sum()) - math.lgamma(s + 1) if s <= _LGAMMA_MIN_SIDE
+            else math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            for k, s in zip(ks, sides)]
+
+
 def _choose2(m: int) -> int:
     return m * (m - 1) // 2
 
 
 # --- first moment curve and relatives ------------------------------------
+#
+# Each curve kind has one private evaluator that maps overlaps zs and their
+# placement log-counts a = [A(z) for z in zs] to curve values.  The public
+# per-point functions and curve_grid both call it; only the source of A
+# differs (log_placements per point, one shared log table per window).
 
 
 def log_placements(p: ModelParams, z: int) -> float:
@@ -121,16 +175,6 @@ def log_placements(p: ModelParams, z: int) -> float:
     ln [ C(k, z) * C(n-k, kbar-z) ]."""
     check_overlap(z, p.overlaps)
     return log_binomial(p.k, z) + log_binomial(p.n - p.k, p.kbar - z)
-
-
-def log_placements_step(p: ModelParams, z: int) -> float:
-    """Exact increment log_placements(z+1) - log_placements(z) in closed form:
-    ln [ (k-z)(kbar-z) / ((z+1)(n-k-kbar+z+1)) ]."""
-    check_overlap(z, p.overlaps)
-    check_overlap(z + 1, p.overlaps)
-    num = (p.k - z) * (p.kbar - z)
-    den = (z + 1) * (p.n - p.k - p.kbar + z + 1)
-    return math.log(num) - math.log(den)
 
 
 def default_window(p: ModelParams) -> range:
@@ -144,21 +188,28 @@ def first_moment_curve(p: ModelParams, z: int) -> float:
 
         C(z,2) + h^{-1}( ln2 - A(z)/M ) * M,   M = C(kbar,2) - C(z,2),
 
-    with A(z) = log_placements(p, z).  The fully-overlapping degenerate point
-    z = k = kbar evaluates to C(k,2).
+    with A(z) = log_placements(p, z).  Where M = 0 (the fully-overlapping
+    point z = k = kbar, or kbar = 1) it evaluates to C(z,2).
     """
     check_overlap(z, p.overlaps)
-    if z == p.kbar:  # only possible when z = k = kbar
-        return float(_choose2(p.k))
-    cz = _choose2(z)
-    m = _choose2(p.kbar) - cz
-    arg = LN2 - log_placements(p, z) / m
-    if arg < -1e-12:
-        raise UndefinedCurveError(
-            f"curve undefined at z={z}: placement count exceeds capacity "
-            f"(h^{{-1}} argument {arg:.6g} < 0)"
-        )
-    return cz + binary_entropy_inv(max(arg, 0.0)) * m
+    return _first_moment(p, [z], [log_placements(p, z)])[0]
+
+
+def _first_moment(p: ModelParams, zs, a) -> list[float]:
+    args = []
+    for z, az in zip(zs, a):
+        m = _choose2(p.kbar) - _choose2(z)
+        arg = LN2 - az / m if m else LN2
+        if arg < -1e-12:
+            raise UndefinedCurveError(
+                f"curve undefined at z={z}: placement count exceeds capacity "
+                f"(h^{{-1}} argument {arg:.6g} < 0)"
+            )
+        args.append(max(arg, 0.0))
+    # a single point takes the scalar h^{-1}: a lockstep of one lane pays
+    # its 43 rounds of numpy calls for nothing
+    xs = _entropy_inv_many(args) if len(args) > 1 else [binary_entropy_inv(args[0])]
+    return [_choose2(z) + x * (_choose2(p.kbar) - _choose2(z)) for z, x in zip(zs, xs)]
 
 
 def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = False) -> float:
@@ -170,25 +221,37 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
     reproducing the plotted small-clique variant of the formula.
     """
     check_overlap(z, p.overlaps)
-    a = log_placements(p, z)
-    if a < 0:
-        raise DomainError("negative placement log-count")
+    return _sqrt_approx(p, [z], [log_placements(p, z)], use_k_quadratic)[0]
+
+
+def _sqrt_approx(p: ModelParams, zs, a, use_k_quadratic: bool = False) -> list[float]:
     big = _choose2(p.k if use_k_quadratic else p.kbar)
-    cz = _choose2(z)
-    m = big - cz
-    if m < 0:
-        raise ParameterError(f"quadratic term negative at z={z}")
-    return 0.5 * (big + cz) + math.sqrt(m * a / 2.0)
+    out = []
+    for z, az in zip(zs, a):
+        if az < 0:
+            raise DomainError("negative placement log-count")
+        cz = _choose2(z)
+        m = big - cz
+        if m < 0:
+            raise ParameterError(f"quadratic term negative at z={z}")
+        out.append(0.5 * (big + cz) + math.sqrt(m * az / 2.0))
+    return out
 
 
 def sqrt_approx_renormalized(p: ModelParams, z: int) -> float:
     """kbar^{-3/2} * (sqrt-approx(z) - C(kbar,2)/2), computed without the
     cancellation of subtracting two ~1e11 values."""
     check_overlap(z, p.overlaps)
-    a = log_placements(p, z)
-    cz = _choose2(z)
-    m = _choose2(p.kbar) - cz
-    return (0.5 * cz + math.sqrt(m * a / 2.0)) / p.kbar**1.5
+    return _sqrt_renormalized(p, [z], [log_placements(p, z)])[0]
+
+
+def _sqrt_renormalized(p: ModelParams, zs, a) -> list[float]:
+    out = []
+    for z, az in zip(zs, a):
+        cz = _choose2(z)
+        m = _choose2(p.kbar) - cz
+        out.append((0.5 * cz + math.sqrt(m * az / 2.0)) / p.kbar**1.5)
+    return out
 
 
 def first_moment_expansion(p: ModelParams, z: int) -> float:
@@ -200,16 +263,20 @@ def first_moment_expansion(p: ModelParams, z: int) -> float:
     kbar >= (ln n)^5.
     """
     check_overlap(z, p.overlaps)
-    cz = _choose2(z)
-    m = _choose2(p.kbar) - cz
-    if m <= 0:
-        raise DomainError(f"expansion undefined at z={z}: zero quadratic gap")
-    a = log_placements(p, z)
-    return (
-        0.5 * (_choose2(p.kbar) + cz)
-        + math.sqrt(a * m / 2.0)
-        - math.sqrt(a**3 / m) / (6.0 * math.sqrt(2.0))
-    )
+    return _expansion(p, [z], [log_placements(p, z)])[0]
+
+
+def _expansion(p: ModelParams, zs, a) -> list[float]:
+    out = []
+    for z, az in zip(zs, a):
+        cz = _choose2(z)
+        m = _choose2(p.kbar) - cz
+        if m <= 0:
+            raise DomainError(f"expansion undefined at z={z}: zero quadratic gap")
+        out.append(0.5 * (_choose2(p.kbar) + cz)
+                   + math.sqrt(az * m / 2.0)
+                   - math.sqrt(az**3 / m) / (6.0 * math.sqrt(2.0)))
+    return out
 
 
 def trend_statistic(p: ModelParams) -> float:
@@ -269,10 +336,10 @@ class OverlapCurve:
 
 
 _KIND_EVAL = {
-    "gamma": first_moment_curve,
-    "gamma-tilde": first_moment_sqrt_approx,
-    "gamma-tilde-renorm": sqrt_approx_renormalized,
-    "phi": first_moment_expansion,
+    "gamma": _first_moment,
+    "gamma-tilde": _sqrt_approx,
+    "gamma-tilde-renorm": _sqrt_renormalized,
+    "phi": _expansion,
 }
 
 _KIND_NAMES = {
@@ -287,7 +354,11 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
                z_hi: int | None = None) -> OverlapCurve:
     """Evaluate a deterministic curve on every integer z in [z_lo, z_hi]
     (defaults: default_window(p), i.e. [floor(kbar*k/n), k]).  Both ends
-    must be feasible overlaps and the window must not be empty."""
+    must be feasible overlaps and the window must not be empty.
+
+    The window runs as one batch: A(z) comes from one log table per
+    binomial and gamma inverts h in lockstep, every value bit-identical to
+    the per-point function of its kind."""
     if kind not in _KIND_EVAL:
         raise ParameterError(f"unknown curve kind {kind!r}")
     fn = _KIND_EVAL[kind]
@@ -298,7 +369,10 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
     check_overlap(hi, p.overlaps)
     if lo > hi:
         raise ParameterError(f"empty overlap window [{lo}, {hi}]")
-    pts = tuple(CurvePoint(z, fn(p, z)) for z in range(lo, hi + 1))
+    zs = range(lo, hi + 1)
+    a = [x + y for x, y in zip(_log_binomials(p.k, zs),
+                               _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))]
+    pts = tuple(CurvePoint(z, v) for z, v in zip(zs, fn(p, zs, a)))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
     return OverlapCurve(params=p, kind=_KIND_NAMES[kind], points=pts, z_lo=lo,
                         z_hi=hi, scale=scale)

@@ -243,7 +243,7 @@ def reference_densest_with_overlap(g, kbar, z):
     return best_val, best_members
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
        st.one_of(st.integers(1, 40), st.just(landscape._ROWS)))
 def test_subset_blocks_match_combinations(nk, rows):
@@ -283,7 +283,7 @@ def enum_graphs(draw, n_max=70):
                         planted_mask=sum(1 << v for v in planted))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data(), st.sampled_from([0.0, 0.7, 2.5]), st.sampled_from([1, 7, landscape._ROWS]))
 def test_exact_gibbs_and_states_match_recursive_reference(data, beta, rows):
     g = data.draw(enum_graphs())
@@ -302,7 +302,7 @@ def test_exact_gibbs_and_states_match_recursive_reference(data, beta, rows):
             assert states == [m for m, z in zip(masks, overlaps) if roof is None or z <= roof]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data(), st.sampled_from([1, 5, landscape._ROWS]))
 def test_densest_with_overlap_matches_recursive_reference(data, rows):
     g = data.draw(enum_graphs())
@@ -447,7 +447,7 @@ def search_cases(draw):
     return g, kbar, z
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(search_cases(), st.integers(0, 5), st.integers(0, 2**16),
        st.one_of(st.none(), st.integers(0, 3)))
 def test_local_search_matches_scalar_reference(case, restarts, seed, plateau):

@@ -361,6 +361,25 @@ def test_exact_gibbs_budget():
         exact_gibbs(g, 15, 1.0, budget=1000)
 
 
+def test_exact_gibbs_rejects_kbar_below_k_before_enumerating(monkeypatch):
+    import plandscape.mcmc as mcmc
+
+    def enumerate_nothing(n, kbar):
+        raise AssertionError(f"enumerated C({n},{kbar}) before checking the parameters")
+
+    monkeypatch.setattr(mcmc, "subset_blocks", enumerate_nothing)
+    with pytest.raises(ParameterError, match="k=12 kbar=11"):
+        exact_gibbs(sample_planted(22, 12, 0), 11, 1.0)
+
+
+def test_exact_gibbs_prob_of_rejects_masks_off_the_state_space():
+    eg = exact_gibbs(sample_planted(8, 2, 0), 3, 1.0)
+    assert eg.prob_of(0b111) > 0.0
+    for mask in (0b11, 0, 0b1111, 1 << 8 | 0b11):  # too few, too many, vertex 8 >= n
+        with pytest.raises(ParameterError, match=f"mask {mask} is not a 3-subset"):
+            eg.prob_of(mask)
+
+
 # --- wells ----------------------------------------------------------------------
 
 

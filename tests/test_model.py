@@ -220,7 +220,7 @@ SPLICES = st.one_of(st.binary(max_size=3),
                     st.sampled_from([b"\n", b" ", b"-", b"9", b"99", b"g", b"\xff"]))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 3), SPLICES),
                 min_size=1, max_size=3))
 def test_load_mutated_file_raises_only_parameter_error(tmp_path_factory, edits):

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plandscape.errors import DomainError, ParameterError, UndefinedCurveError
 from plandscape.model import ModelParams
@@ -22,17 +24,19 @@ from plandscape.numerics import (
     classifier_window,
     classify_params,
     curve_grid,
+    default_window,
     entropy_inv_series,
     first_moment_curve,
     first_moment_expansion,
     first_moment_sqrt_approx,
     log_binomial,
     log_placements,
-    log_placements_step,
     phase_diagram,
     rate_function,
     sqrt_approx_renormalized,
     trend_statistic,
+    _entropy_inv_many,
+    _log_binomials,
 )
 
 LN2 = math.log(2.0)
@@ -174,24 +178,6 @@ def test_log_placements_values():
     assert log_placements(p, 0) == pytest.approx(math.log(math.comb(25, 6)), abs=1e-10)
     q = ModelParams(20, 4, 4)
     assert log_placements(q, 4) == pytest.approx(0.0, abs=1e-12)  # C(4,4)*C(16,0)
-
-
-def test_log_placements_step_identity():
-    # closed-form increment equals the direct difference on random triples
-    import random
-
-    rnd = random.Random(4)
-    for _ in range(200):
-        n = rnd.randint(8, 60)
-        k = rnd.randint(1, n // 2)
-        kbar = rnd.randint(k, min(n - 1, k + n // 3))
-        p = ModelParams(n, k, kbar)
-        for z in range(0, min(k, kbar)):
-            if kbar - z > n - k or kbar - (z + 1) > n - k:
-                continue
-            lhs = log_placements_step(p, z)
-            rhs = log_placements(p, z + 1) - log_placements(p, z)
-            assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
 
 
 def test_log_placements_infeasible():
@@ -427,3 +413,112 @@ def test_entropy_inverse_extreme_boundaries():
         x = binary_entropy_inv(y)
         assert 0.5 <= x <= 1.0
         assert abs(binary_entropy(x) - y) <= 1e-12
+
+
+# --- batch windows: bit for bit against the per-point functions ------------
+
+PER_POINT = {
+    "gamma": first_moment_curve,
+    "gamma-tilde": first_moment_sqrt_approx,
+    "gamma-tilde-renorm": sqrt_approx_renormalized,
+    "phi": first_moment_expansion,
+}
+
+
+@st.composite
+def curve_windows(draw):
+    """(params, z_lo, z_hi) over every log_binomial regime at n = 1e7: short
+    sums with k == kbar (window ending at z = kbar), long direct sums,
+    windows whose side kbar - z crosses 2^18, the log-gamma branch, plus
+    small instances where the curves raise."""
+    regime = draw(st.sampled_from(["small", "k=kbar", "long", "cross", "lgamma"]))
+    if regime == "small":
+        n = draw(st.integers(2, 300))
+        k = draw(st.integers(1, n))
+        kbar = draw(st.integers(k, n))
+    else:
+        n = 10**7
+        k = draw(st.integers(1, 700))
+        kbar = {"k=kbar": k, "long": draw(st.integers(11_000, 14_000)),
+                "cross": 2**18 + draw(st.integers(0, k)),
+                "lgamma": draw(st.integers(300_000, 1_000_000))}[regime]
+    p = ModelParams(n, k, kbar)
+    dom = p.overlaps
+    if regime == "k=kbar":
+        hi = k
+    elif regime == "cross":
+        hi = min(kbar - 2**18 + draw(st.integers(0, 4)), dom[-1])
+    else:
+        hi = draw(st.integers(dom.start, dom[-1]))
+    lo = max(dom.start, hi - draw(st.integers(0, 7 if regime == "cross" else 15)))
+    return p, lo, hi
+
+
+@settings(max_examples=80)
+@given(curve_windows())
+@example((ModelParams(30, 5, 6), 0, 5))  # gamma undefined from z = 2
+@example((ModelParams(1000, 20, 20), 10, 20))  # phi undefined at z = kbar
+@example((ModelParams(10, 1, 1), 0, 1))  # kbar = 1: zero quadratic gap at z = 0
+@example((ModelParams(10**7, 600, 2**18 + 300), 296, 303))
+def test_curve_grid_window_equals_per_point_functions(case):
+    p, lo, hi = case
+    for kind, fn in PER_POINT.items():
+        want = []
+        for z in range(lo, hi + 1):
+            try:
+                want.append(fn(p, z).hex())
+            except (DomainError, UndefinedCurveError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    curve_grid(p, kind, lo, hi)
+                assert str(got.value) == str(exc), kind
+                break
+        else:
+            assert [v.hex() for v in curve_grid(p, kind, lo, hi).values()] == want, kind
+
+
+def test_curve_at_zero_quadratic_gap_is_choose2():
+    # kbar = 1 leaves M = C(kbar,2) - C(z,2) = 0 at z = 0 as well as at z = kbar
+    p = ModelParams(10, 1, 1)
+    assert [first_moment_curve(p, z) for z in (0, 1)] == [0.0, 0.0]
+    assert curve_grid(p, "gamma").values() == [0.0, 0.0]
+
+
+def test_log_binomials_match_log_binomial_on_one_table():
+    n = 10**7
+    ks = [0, 1, 2, 2**18 - 1, 2**18, 2**18 + 1, 12_345, n - 2**18, n - 7, n]
+    assert [x.hex() for x in _log_binomials(n, ks)] == [log_binomial(n, k).hex() for k in ks]
+    assert _log_binomials(n, [0, n, 2**18 + 1]) == [0.0, 0.0, log_binomial(n, 2**18 + 1)]
+
+
+def _midpoint_entropies(count, seed=5):
+    """h(m) with math.log and with np.log at bisection midpoints m (odd
+    multiples of 2^-d, d <= 44, in (1/2, 1)) where the two logs disagree."""
+    rng = np.random.default_rng(seed)
+    depth = rng.integers(2, 45, count)
+    m = 0.5 + (2 * (rng.integers(0, 2**42, count) % 2 ** (depth - 2)) + 1) * 2.0 ** -depth
+    q = 1.0 - m
+    h_np = -m * np.log(m) - q * np.log(q)
+    h_math = np.array([binary_entropy(x) for x in m.tolist()])
+    sel = h_np != h_math
+    return h_math[sel].tolist() + h_np[sel].tolist()
+
+
+def test_entropy_inv_many_equals_scalar_on_adversarial_values():
+    # y = h(m) computed with math.log, at midpoints where np.log rounds the
+    # other way, puts the lockstep comparison on the wrong side unless the
+    # near-tie guard redoes it with math.log
+    ys = [0.0, 1e-300, 5e-324, 4e-15, LN2 - 1e-17, LN2, LN2 - 1e-16, 0.3, H_34]
+    ys += _midpoint_entropies(100_000)
+    ys += [binary_entropy(x) for x in np.linspace(0.5, 1.0, 201).tolist()]
+    got = _entropy_inv_many(ys)
+    assert [x.hex() for x in got] == [binary_entropy_inv(y).hex() for y in ys]
+    assert _entropy_inv_many([]) == []
+
+
+def test_entropy_inv_many_raises_like_scalar():
+    for bad in (-1e-6, LN2 + 1e-6, math.nan):
+        with pytest.raises(DomainError) as want:
+            binary_entropy_inv(bad)
+        with pytest.raises(DomainError) as got:
+            _entropy_inv_many([0.3, bad])
+        assert str(got.value) == str(want.value)
