@@ -278,7 +278,8 @@ def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
         nonlocal best_val, best_members, nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetError(f"branch-and-bound exceeded node budget {budget}")
+            raise BudgetError(f"branch-and-bound exceeded node budget {budget}: "
+                              f"{nodes - 1} nodes explored, best value so far {best_val}")
         r = K - len(chosen)
         if r == 0:
             if edges > best_val:

@@ -58,6 +58,12 @@ class ModelParams:
         """feasible_overlaps of this triple, computed once."""
         return feasible_overlaps(self.n, self.k, self.kbar)
 
+    @functools.cached_property
+    def _placements(self) -> list:
+        """numerics' memo [z0, float64 array A(z0), A(z0+1), ...] of one
+        contiguous run of overlaps; it lives and dies with this instance."""
+        return [0, np.empty(0)]
+
 
 @dataclass(frozen=True)
 class VertexSubset:
@@ -140,21 +146,8 @@ class BitGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edge_total(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self):
-        for u in range(self.n):
-            r = self.rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    yield (u, v)
-                r >>= 1
-                v += 1
 
     def count_in_mask(self, mask: int) -> int:
         """Edges of the induced subgraph selected by a vertex bitmask."""

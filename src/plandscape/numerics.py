@@ -167,7 +167,7 @@ def _choose2(m: int) -> int:
 # Each curve kind has one private evaluator that maps overlaps zs and their
 # placement log-counts a = [A(z) for z in zs] to curve values.  The public
 # per-point functions and curve_grid both call it; only the source of A
-# differs (log_placements per point, one shared log table per window).
+# differs (log_placements per point, _window_placements per window).
 
 
 def log_placements(p: ModelParams, z: int) -> float:
@@ -175,6 +175,26 @@ def log_placements(p: ModelParams, z: int) -> float:
     ln [ C(k, z) * C(n-k, kbar-z) ]."""
     check_overlap(z, p.overlaps)
     return log_binomial(p.k, z) + log_binomial(p.n - p.k, p.kbar - z)
+
+
+def _window_placements(p: ModelParams, lo: int, hi: int) -> list[float]:
+    """[log_placements(p, z) for z in lo..hi], bit for bit, through p's memo
+    of one run of overlaps: only the zs the run lacks are computed, and a
+    window that neither overlaps nor touches the run starts a new one.
+    A(z) depends on (n, k, kbar, z) alone, so every call order gives the
+    bits of a fresh computation."""
+    start, run = p._placements
+    if hi + 1 < start or lo > start + len(run):
+        start, run = lo, np.empty(0)
+    zs = [*range(lo, start), *range(start + len(run), hi + 1)]
+    if zs:
+        a = np.add(_log_binomials(p.k, zs),
+                   _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))
+        cut = max(start - lo, 0)
+        run = np.concatenate((a[:cut], run, a[cut:]))
+        start = min(lo, start)
+        p._placements[:] = start, run
+    return run[lo - start:hi + 1 - start].tolist()
 
 
 def default_window(p: ModelParams) -> range:
@@ -357,8 +377,9 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
     must be feasible overlaps and the window must not be empty.
 
     The window runs as one batch: A(z) comes from one log table per
-    binomial and gamma inverts h in lockstep, every value bit-identical to
-    the per-point function of its kind."""
+    binomial, computed once per p and overlap whatever the kind, and gamma
+    inverts h in lockstep, every value bit-identical to the per-point
+    function of its kind."""
     if kind not in _KIND_EVAL:
         raise ParameterError(f"unknown curve kind {kind!r}")
     fn = _KIND_EVAL[kind]
@@ -370,9 +391,7 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
     if lo > hi:
         raise ParameterError(f"empty overlap window [{lo}, {hi}]")
     zs = range(lo, hi + 1)
-    a = [x + y for x, y in zip(_log_binomials(p.k, zs),
-                               _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))]
-    pts = tuple(CurvePoint(z, v) for z, v in zip(zs, fn(p, zs, a)))
+    pts = tuple(CurvePoint(z, v) for z, v in zip(zs, fn(p, zs, _window_placements(p, lo, hi))))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
     return OverlapCurve(params=p, kind=_KIND_NAMES[kind], points=pts, z_lo=lo,
                         z_hi=hi, scale=scale)
@@ -449,12 +468,14 @@ def classify_params(p: ModelParams, margin: float = 1.0) -> MonotonicityClass:
 def classifier_window(p: ModelParams, cfg: ClassifierConfig | None = None) -> range:
     """The overlaps classify_curve reads: [floor(c0*kbar*k/n), (1-epsilon)*k],
     with the lower end falling back to default_window(p) when the c0-shrunk
-    window keeps fewer than 3 points."""
+    window keeps fewer than 3 points; ParameterError if that one does too."""
     cfg = cfg or ClassifierConfig()
     lo = int(cfg.c0 * p.kbar * p.k / p.n)
     hi = int((1.0 - cfg.epsilon) * p.k)
     if lo > hi - 2:
         lo = default_window(p).start
+    if lo > hi - 2:
+        raise ParameterError(f"window [{lo}, {hi}] has fewer than 3 points")
     return range(lo, hi + 1)
 
 
@@ -476,8 +497,6 @@ def classify_curve(curve: OverlapCurve, cfg: ClassifierConfig | None = None) -> 
             f"curve domain [{curve.z_lo}, {curve.z_hi}] does not cover window [{lo}, {hi}]"
         )
     vals = [curve.value(z) for z in range(lo, hi + 1)]
-    if len(vals) < 3:
-        raise ParameterError(f"window [{lo}, {hi}] has fewer than 3 points")
 
     tol = 1e-6 * p.kbar * curve.scale
     diffs = [b - a for a, b in zip(vals, vals[1:])]

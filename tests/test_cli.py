@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +58,16 @@ def test_classify_empirical_mode(capsys):
                "--empirical", "--kind", "gamma-tilde-renorm"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "Decreasing"
+
+
+def test_module_entry_point_runs_the_command():
+    src = pathlib.Path(plandscape.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plandscape.cli", "classify", "--n", "10000000",
+         "--k", "4000", "--kbar", "6250000"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "Increasing", "")
 
 
 def test_missing_flag_usage_error():
@@ -212,6 +226,7 @@ CONTRACT = [
     ("curve --n 1000 --k 20 --kbar 20 --kind phi --out c.csv", EXIT_USAGE),
     ("curve --n 1000 --k 20 --kbar 30 --z-lo 25 --out c.csv", EXIT_USAGE),
     ("classify --n 1000 --k 20 --kbar 20 --empirical --kind phi", 0),
+    ("classify --n 10000000 --k 3000 --kbar 9999999 --empirical", EXIT_USAGE),
     ("flatness --K 10 --gamma 0.5 --delta 1.5 --out f.json", EXIT_USAGE),
     ("flatness --K 10 --gamma 0.5 --delta 0.2 --mode sampled:abc --out f.json", EXIT_USAGE),
     ("phase --n 1000 --k-grid a,2 --kbar-grid 5 --out p.csv", EXIT_USAGE),

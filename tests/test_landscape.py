@@ -187,6 +187,18 @@ def test_densest_subgraph_node_budget():
         densest_subgraph(g, 15, budget=5)
 
 
+def test_densest_subgraph_budget_error_says_how_far_it_got():
+    g = sample_planted(50, 1, 0)
+    with pytest.raises(BudgetError) as exc:
+        densest_subgraph(g, 10, budget=50)
+    msg = str(exc.value)
+    assert msg.startswith("branch-and-bound exceeded node budget 50: 50 nodes explored, "
+                          "best value so far "), msg
+    best = int(msg.rsplit(" ", 1)[1])
+    assert local_search_densest(g, 10, restarts=4, seed=0).value <= best
+    assert best <= densest_subgraph(g, 10).value
+
+
 def test_overlap_densest_monotone_under_edge_addition():
     for seed in range(6):
         g = sample_planted(12, 3, seed)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plandscape import numerics
 from plandscape.errors import DomainError, ParameterError, UndefinedCurveError
 from plandscape.model import ModelParams
 from plandscape.numerics import (
@@ -381,6 +383,17 @@ def test_classifier_window_lets_phi_classify_at_k_equal_kbar():
     assert classify_curve(curve_grid(q, "phi", w.start, w[-1])) == classify_curve(curve_grid(q, "phi"))
 
 
+def test_classifier_window_with_fewer_than_3_points_raises():
+    # at kbar = n - 1 the feasible floor k - 1 lies past (1 - epsilon) k
+    p = ModelParams(10**7, 3000, 10**7 - 1)
+    with pytest.raises(ParameterError, match=r"^window \[2999, 2700\] has fewer than 3 points$"):
+        classifier_window(p)
+    with pytest.raises(ParameterError, match="fewer than 3 points"):
+        classify_curve(curve_grid(p, "gamma"))
+    # further from n the fallback floor floor(kbar*k/n) still leaves a window
+    assert classifier_window(ModelParams(10**7, 3000, 8 * 10**6)) == range(2400, 2701)
+
+
 def test_classifier_config_validation():
     with pytest.raises(ParameterError):
         ClassifierConfig(epsilon=1.5)
@@ -522,3 +535,157 @@ def test_entropy_inv_many_raises_like_scalar():
         with pytest.raises(DomainError) as got:
             _entropy_inv_many([0.3, bad])
         assert str(got.value) == str(want.value)
+
+
+# --- the per-params memo of A(z) -------------------------------------------
+
+# one ModelParams per log_binomial regime at n = 1e7: short direct sums
+# (k == kbar), long direct sums just under 2^18, and the log-gamma branch
+MEMO_PARAMS = [(10**7, 300, 300), (10**7, 600, 2**18 - 5), (10**7, 500, 600_000)]
+KINDS = list(PER_POINT)
+
+
+def _window(p):
+    """The default window, stopped at k - 1 so phi stays defined at k == kbar."""
+    return default_window(p).start, p.k - 1
+
+
+def _call_orders(p):
+    lo, hi = _window(p)
+    mid = (lo + hi) // 2
+    return {
+        "full-then-sub": [("gamma", lo, hi), ("phi", lo + 3, mid), ("gamma-tilde", mid, hi)],
+        "sub-then-full": [("gamma-tilde", lo + 3, mid), ("gamma", lo, hi)],
+        "disjoint": [("gamma", mid, hi), ("phi", lo, lo + 10), ("gamma-tilde", lo + 20, mid - 5)],
+        "adjacent": [("gamma", lo + 10, mid), ("phi", mid + 1, hi), ("gamma-tilde", lo, lo + 9)],
+        "kinds-reversed": [(kind, lo, hi) for kind in reversed(KINDS)],
+    }
+
+
+def _fresh_bits(p, kind, lo, hi):
+    return [v.hex() for v in curve_grid(ModelParams(p.n, p.k, p.kbar), kind, lo, hi).values()]
+
+
+@pytest.mark.parametrize("order", ["full-then-sub", "sub-then-full", "disjoint",
+                                   "adjacent", "kinds-reversed"])
+@pytest.mark.parametrize("triple", MEMO_PARAMS)
+def test_curve_grid_memo_equals_fresh_params_in_any_call_order(triple, order):
+    p = ModelParams(*triple)
+    for kind, lo, hi in _call_orders(p)[order]:
+        values = curve_grid(p, kind, lo, hi).values()
+        assert {type(v) for v in values} == {float}
+        assert [v.hex() for v in values] == _fresh_bits(p, kind, lo, hi), (kind, lo, hi)
+        assert len(p._placements[1]) <= len(p.overlaps)
+    start, run = p._placements
+    for i in sorted({*range(0, len(run), 17), len(run) - 1}):
+        assert run[i].hex() == log_placements(p, start + i).hex()
+
+
+def test_curve_grid_memo_computes_only_missing_overlaps(monkeypatch):
+    p = ModelParams(10**7, 400, 12_000)
+    lo, hi = _window(p)
+    asked = []
+    real = numerics._log_binomials
+
+    def spy(n, ks):
+        if n == p.k:
+            asked.append(list(ks))
+        return real(n, ks)
+
+    def computed(kind, a, b):
+        asked.clear()
+        curve_grid(p, kind, a, b)
+        assert len(asked) <= 1  # one table per binomial and call
+        return asked[0] if asked else []
+
+    monkeypatch.setattr(numerics, "_log_binomials", spy)
+    assert computed("gamma", lo + 50, hi - 50) == list(range(lo + 50, hi - 49))
+    for kind in KINDS:  # every kind reads the memo
+        assert computed(kind, lo + 60, hi - 60) == []
+    assert computed("phi", lo + 40, lo + 49) == list(range(lo + 40, lo + 50))  # adjacent below
+    assert computed("gamma-tilde", hi - 49, hi - 45) == list(range(hi - 49, hi - 44))  # above
+    assert computed("gamma", lo, hi) == [*range(lo, lo + 40), *range(hi - 44, hi + 1)]
+    assert len(p._placements[1]) == hi - lo + 1
+    assert computed("phi", lo, lo) == []
+
+
+def test_curve_grid_memo_holds_at_most_one_value_per_overlap():
+    p = ModelParams(60, 10, 55)  # feasible overlaps 5..10
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lo, hi = sorted(rng.integers(p.overlaps.start, p.overlaps.stop, 2).tolist())
+        kind = KINDS[int(rng.integers(0, len(KINDS)))]
+        got = [v.hex() for v in curve_grid(p, kind, lo, hi).values()]
+        assert got == _fresh_bits(p, kind, lo, hi)
+        assert len(p._placements[1]) <= len(p.overlaps)
+
+
+def test_equal_params_objects_give_the_same_bits():
+    a, b = ModelParams(10**7, 500, 600_000), ModelParams(10**7, 500, 600_000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    lo, hi = _window(a)
+    curve_grid(a, "phi", lo + 100, hi)  # a answers from its memo, b computes fresh
+    for kind in KINDS:
+        assert ([v.hex() for v in curve_grid(a, kind, lo, hi).values()]
+                == [v.hex() for v in curve_grid(b, kind, lo, hi).values()]), kind
+
+
+def test_memo_leaves_params_equality_hash_and_repr_alone():
+    p = ModelParams(10**7, 300, 300)
+    before = (repr(p), hash(p), dataclasses.astuple(p))
+    curve_grid(p, "gamma")
+    assert (repr(p), hash(p), dataclasses.astuple(p)) == before
+    assert repr(p) == "ModelParams(n=10000000, k=300, kbar=300)"
+    assert [f.name for f in dataclasses.fields(p)] == ["n", "k", "kbar"]
+    assert p == ModelParams(10**7, 300, 300) and p != ModelParams(10**7, 300, 301)
+    assert hash(p) == hash(ModelParams(10**7, 300, 300))
+    assert dataclasses.replace(p, kbar=301) == ModelParams(10**7, 300, 301)
+
+
+# --- accuracy against 40-digit mpmath ---------------------------------------
+
+# worst relative error over every point of these windows, measured on 2-core
+# x86-64 with numpy 2: 3.9e-14 (gamma, then gamma-tilde-renorm, where A(z) comes
+# from the log-gamma branch or h^{-1} is ill-conditioned near 1/2); 3.5e-16 at
+# short sums.  The bound sits 100x under the 1e-11 benchmark oracle.
+ACCURACY_REL = 1e-13
+
+
+def _mp_curve(kind, p, z):
+    """One curve point from its documented formula, all in 40-digit mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        def lnc(n, k):
+            return mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+
+        a = lnc(p.k, z) + lnc(p.n - p.k, p.kbar - z)
+        cz, ck = mp.mpf(z * (z - 1) // 2), mp.mpf(p.kbar * (p.kbar - 1) // 2)
+        m = ck - cz
+        if kind == "gamma":
+            y, lo, hi = mp.log(2) - a / m, mp.mpf(0.5), mp.mpf(1)
+            for _ in range(140):  # h(lo) > y >= h(hi); 2^-140 < 1e-42
+                mid = (lo + hi) / 2
+                if -mid * mp.log(mid) - (1 - mid) * mp.log(1 - mid) > y:
+                    lo = mid
+                else:
+                    hi = mid
+            return cz + lo * m
+        if kind == "gamma-tilde":
+            return (ck + cz) / 2 + mp.sqrt(m * a / 2)
+        if kind == "gamma-tilde-renorm":
+            return (cz / 2 + mp.sqrt(m * a / 2)) / mp.mpf(p.kbar) ** 1.5
+        return (ck + cz) / 2 + mp.sqrt(a * m / 2) - mp.sqrt(a**3 / m) / (6 * mp.sqrt(2))
+
+
+@pytest.mark.parametrize("triple", MEMO_PARAMS + [(10**7, 600, 2**18 + 300)])
+def test_curves_match_40_digit_mpmath(triple):
+    # the last triple's window has sides kbar - z on both sides of 2^18
+    p = ModelParams(*triple)
+    lo, hi = _window(p)
+    curve_grid(p, "gamma-tilde", lo, (lo + hi) // 2)  # half the points come from the memo
+    for kind in KINDS:
+        curve = curve_grid(p, kind, lo, hi)
+        for z in sorted({*range(lo, hi + 1, 9), hi}):
+            ref = _mp_curve(kind, p, z)
+            assert float(abs((curve.value(z) - ref) / ref)) <= ACCURACY_REL, (kind, z)
