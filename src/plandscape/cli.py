@@ -64,22 +64,18 @@ def _manifest(args, outputs, wall_ms):
     params = {k: v for k, v in vars(args).items() if k != "func"}
     entries = []
     for path in outputs:
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         entries.append({"path": str(path), "sha256": digest,
                         "bytes": os.path.getsize(path)})
-    payload = {
-        "schema": "v1",
+    _write_json(f"{outputs[0]}.manifest.json", {
         "tool": "plandscape",
         "version": __version__,
         "subcommand": args.cmd,
-        "params": _jsonable(params),
+        "params": params,
         "wall_ms": round(wall_ms, 3),
         "outputs": entries,
-    }
-    mpath = f"{outputs[0]}.manifest.json"
-    with open(mpath, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 # --- subcommand bodies -------------------------------------------------------

@@ -97,12 +97,9 @@ def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: 
     thr = _thresholds(K, gamma, delta)
     rng = rng_from_seed(seed, stream=1)
     found = {}
-    adj = g.dense.astype(np.float64)  # BLAS product; counts stay exact integers
 
     def check(ell, picks):  # one ell-subset per row of picks
-        x = np.zeros((len(picks), K))
-        np.put_along_axis(x, picks, 1, axis=1)
-        edges = ((x @ adj) * x).sum(axis=1) // 2
+        edges = landscape.induced_edges(g, picks)
         for i in np.flatnonzero(edges > thr[ell]):
             found.setdefault((ell, tuple(sorted(picks[i].tolist()))), float(edges[i] - thr[ell]))
 

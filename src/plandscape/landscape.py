@@ -208,9 +208,33 @@ def _word_ints(words: np.ndarray) -> list:
 
 
 def _induced_edges(row_words: np.ndarray, c: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Edges induced by each row of c, given the graph's adjacency rows and
-    the rows' masks, both as uint64 words."""
+    """induced_edges on packed operands: the graph's adjacency rows and the
+    masks of c's rows, both as uint64 words."""
     return np.bitwise_count(row_words[c] & words[:, None, :]).sum(axis=(1, 2), dtype=np.int64) // 2
+
+
+def induced_edges(g: BitGraph, c: np.ndarray) -> np.ndarray:
+    """Edges of g induced by each row of c, a matrix of distinct vertices
+    per row in any order, as int64: the one batch subset-edge counter."""
+    return _induced_edges(_pack_words(g.dense), c, _subset_words(c, g.n))
+
+
+def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
+    """Every kbar-subset of g's vertices once, in lexicographic order, as
+    lazy blocks of (Python-int bitmasks, induced edge counts, overlaps with
+    the planted set).  BudgetError at the call, before any enumeration, when
+    C(n, kbar) exceeds budget."""
+    total = math.comb(g.n, kbar)
+    if total > budget:
+        raise BudgetError(f"C({g.n},{kbar}) = {total} exceeds budget {budget}")
+    row_words = _pack_words(g.dense)
+    planted = np.isin(np.arange(g.n), g.planted)
+
+    def block(c):  # c's masks are packed once, for both bitmasks and edges
+        words = _subset_words(c, g.n)
+        return _word_ints(words), _induced_edges(row_words, c, words), planted[c].sum(axis=1)
+
+    return map(block, subset_blocks(g.n, kbar))
 
 
 def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
@@ -225,8 +249,7 @@ def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
         raise BudgetError(
             f"{count} subsets at z={z}: too large for exhaustive (budget {budget})")
     planted = np.array(g.planted, dtype=np.intp)
-    others = np.array([v for v in range(n) if not (g.planted_mask >> v & 1)], dtype=np.intp)
-    row_words = _pack_words(g.dense)
+    others = np.array(g.non_planted, dtype=np.intp)
     best_val, best_members = -1, None
     for pc in subset_blocks(k, z):
         for fc in subset_blocks(n - k, kbar - z):
@@ -235,7 +258,7 @@ def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
             for i in range(0, len(pc), step):
                 p = planted[pc[i:i + step]]
                 c = np.concatenate([np.repeat(p, len(f), axis=0), np.tile(f, (len(p), 1))], axis=1)
-                edges = _induced_edges(row_words, c, _subset_words(c, n))
+                edges = induced_edges(g, c)
                 top = int(edges.max())
                 if top < best_val:
                     continue
@@ -337,9 +360,7 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
         pools = [list(range(n))]
         takes = [kbar]
     else:
-        planted = list(g.planted)
-        non_planted = [v for v in range(n) if not (g.planted_mask >> v & 1)]
-        pools = [planted, non_planted]
+        pools = [g.planted, g.non_planted]
         takes = [z, kbar - z]
 
     def initial():

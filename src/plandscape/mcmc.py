@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .model import ModelParams, PlantedGraph, VertexSubset, mask_to_members, rng_from_seed
-from .landscape import _induced_edges, _pack_words, _subset_words, _word_ints, subset_blocks
+from .model import ModelParams, PlantedGraph, VertexSubset, edge_count, mask_to_members, rng_from_seed
+from .landscape import kbar_subsets
 from .numerics import log_placements
 
 _BLOCK = 1 << 15
@@ -96,14 +97,7 @@ def gibbs_log_weight(g: PlantedGraph, s: VertexSubset, beta: float,
     touched here."""
     if kbar is not None and s.size != kbar:
         raise ParameterError(f"subset size {s.size} != kbar {kbar}")
-    if s.members and s.members[-1] >= g.n:
-        raise ParameterError("subset out of range")
-    return beta * g.count_in_mask(s.mask)
-
-
-def _swap_delta(g, mask, u, v):
-    return ((g.rows[v] & (mask ^ (1 << u))).bit_count()
-            - (g.rows[u] & mask).bit_count())
+    return beta * edge_count(g, s)
 
 
 def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
@@ -222,13 +216,8 @@ class ExactGibbs:
 
     def overlap_marginal(self) -> np.ndarray:
         """Probability mass per overlap value, indexed 0..k."""
-        out = np.zeros(self.params.k + 1)
-        p = self.probs()
-        for z in range(self.params.k + 1):
-            sel = self.overlaps == z
-            if sel.any():
-                out[z] = p[sel].sum()
-        return out
+        p = self.probs()  # an overlap no subset has sums to 0.0
+        return np.array([p[self.overlaps == z].sum() for z in range(self.params.k + 1)])
 
     def log_band_mass(self, z_lo: int, z_hi: int) -> float:
         """ln pi(overlap in [z_lo, z_hi]); -inf for an empty band."""
@@ -271,24 +260,15 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
                 budget: int = 10**7) -> ExactGibbs:
     """Exact Gibbs distribution by enumerating every kbar-subset (explicit
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
-    n = g.n
-    p = ModelParams(n, g.k, kbar)
-    total = math.comb(n, kbar)
-    if total > budget:
-        raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
-    planted = np.zeros(n, dtype=bool)
-    planted[list(g.planted)] = True
-    row_words = _pack_words(g.dense)
+    p = ModelParams(g.n, g.k, kbar)
+    blocks = kbar_subsets(g, kbar, budget)
     masks = []
-    weights = np.empty(total)
-    overlaps = np.empty(total, dtype=np.int64)
-    i = 0
-    for c in subset_blocks(n, kbar):
-        words = _subset_words(c, n)
-        masks += _word_ints(words)
-        weights[i:i + len(c)] = beta * _induced_edges(row_words, c, words)
-        overlaps[i:i + len(c)] = planted[c].sum(axis=1)
-        i += len(c)
+    weights = np.empty(math.comb(g.n, kbar))
+    overlaps = np.empty(len(weights), dtype=np.int64)
+    for block, edges, ov in blocks:
+        weights[len(masks):len(masks) + len(block)] = beta * edges
+        overlaps[len(masks):len(masks) + len(block)] = ov
+        masks += block
     m = float(weights.max())
     log_z = m + math.log(float(np.exp(weights - m).sum()))
     return ExactGibbs(params=p, beta=beta, masks=masks,
@@ -337,7 +317,7 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
     except BudgetError:
         pass
     n = g.n
-    non_planted = [v for v in range(n) if not (g.planted_mask >> v & 1)]
+    non_planted = g.non_planted
     base = min(kbar, len(non_planted))
     members = [non_planted[i] for i in rng.permutation(len(non_planted))[:base]]
     if base < kbar:  # forced planted vertices; stay under the band roof
@@ -346,8 +326,7 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
             raise ParameterError("band cannot hold any kbar-subset")
         members += list(g.planted[:need])
     steps = burn_in if burn_in is not None else 200 * n
-    cfg = MCMCConfig(beta=beta, kbar=kbar, t_max=steps, seed=seed ^ 0x5EED,
-                     d1=0.25, d2=1.0, stride=max(1, steps))
+    cfg = MCMCConfig(beta=beta, kbar=kbar, t_max=steps, seed=seed ^ 0x5EED, stride=max(1, steps))
     trace = run_chain(g, cfg, VertexSubset.from_iterable(members),
                       max_overlap=part.a1_max)
     info = {"mode": "burnin", "burn_in": steps}
@@ -370,17 +349,14 @@ def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
     scale only).  With `part`, rows outside the band are dropped and
     band-leaving proposals become self-loops (the reflected chain)."""
     n = g.n
-    p = ModelParams(n, g.k, kbar)
-    total = math.comb(n, kbar)
-    if total > budget:
-        raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
-    planted = np.zeros(n, dtype=bool)
-    planted[list(g.planted)] = True
-    states = []
-    for c in subset_blocks(n, kbar):
+    ModelParams(n, g.k, kbar)  # validates k <= kbar <= n
+    states, edges = [], []
+    for masks, e, ov in kbar_subsets(g, kbar, budget):
         if part is not None:  # the reflected chain keeps only band states
-            c = c[planted[c].sum(axis=1) <= part.a1_max]
-        states += _word_ints(_subset_words(c, n))
+            keep = ov <= part.a1_max
+            masks, e = list(compress(masks, keep)), e[keep]
+        states += masks
+        edges += e.tolist()
     index = {m: i for i, m in enumerate(states)}
     prop = 1.0 / (kbar * (n - kbar))
     t = np.zeros((len(states), len(states)))
@@ -393,7 +369,6 @@ def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
                 j = index.get(new)
                 if j is None:  # outside the band: reflected self-loop
                     continue
-                delta = _swap_delta(g, mask, u, v)
-                t[i, j] += prop * min(1.0, math.exp(beta * delta))
+                t[i, j] += prop * min(1.0, math.exp(beta * (edges[j] - edges[i])))
         t[i, i] = 1.0 - t[i].sum() + t[i, i]
     return t, states

@@ -11,7 +11,7 @@ randomness comes from numpy's Philox counter-based generator keyed by a
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,11 +166,20 @@ class PlantedGraph(BitGraph):
 
     planted: tuple[int, ...] = ()
     seed: int = 0
-    planted_mask: int = field(default=0, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.planted)
+
+    @functools.cached_property
+    def planted_mask(self) -> int:
+        """Bitmask of `planted`, derived once per graph."""
+        return VertexSubset.from_iterable(self.planted).mask
+
+    @functools.cached_property
+    def non_planted(self) -> tuple[int, ...]:
+        """The vertices outside `planted`, ascending."""
+        return tuple(v for v in range(self.n) if not self.planted_mask >> v & 1)
 
 
 def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
@@ -192,11 +201,7 @@ def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
     pl = np.array(planted)
     adj[np.ix_(pl, pl)] = True
     np.fill_diagonal(adj, False)
-
-    pmask = 0
-    for v in planted:
-        pmask |= 1 << v
-    return PlantedGraph(n=n, rows=_pack_rows(adj), planted=planted, seed=seed, planted_mask=pmask)
+    return PlantedGraph(n=n, rows=_pack_rows(adj), planted=planted, seed=seed)
 
 
 def _check_subset(g: BitGraph, s: VertexSubset) -> None:
@@ -266,7 +271,4 @@ def load_graph(path) -> BitGraph:
     pl = np.array(planted)
     if adj[np.ix_(pl, pl)].sum() != k * (k - 1):  # zero diagonal: all off-diagonal pairs
         raise ParameterError("planted set is not a clique in file")
-    pmask = 0
-    for v in planted:
-        pmask |= 1 << v
-    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed, planted_mask=pmask)
+    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed)

@@ -20,6 +20,7 @@ from .errors import DomainError, ParameterError, UndefinedCurveError
 from .model import ModelParams, check_overlap
 
 LN2 = math.log(2.0)
+_BISECT_TOL = 1e-13  # bracket width at which both h^{-1} paths stop bisecting
 
 INCREASING = "Increasing"
 DECREASING = "Decreasing"
@@ -40,11 +41,11 @@ def binary_entropy(x: float) -> float:
     return -x * math.log(x) - y * math.log(y)
 
 
-def binary_entropy_inv(y: float, tol: float = 1e-13) -> float:
+def binary_entropy_inv(y: float) -> float:
     """Inverse of binary_entropy on the branch x >= 1/2.
 
-    Bisection down to a `tol` bracket followed by two Newton polish steps;
-    h' vanishes at 1/2, so Newton alone from the wrong side diverges.
+    Bisection down to a _BISECT_TOL bracket followed by two Newton polish
+    steps; h' vanishes at 1/2, so Newton alone from the wrong side diverges.
     """
     if not -1e-12 <= y <= LN2 + 1e-12:
         raise DomainError(f"entropy value {y} outside [0, ln 2]")
@@ -53,7 +54,7 @@ def binary_entropy_inv(y: float, tol: float = 1e-13) -> float:
     if y <= 0.0:
         return 1.0
     lo, hi = 0.5, 1.0  # h(lo) > y > h(hi)
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) > y:
             lo = mid
@@ -90,7 +91,7 @@ def _entropy_inv_many(ys) -> list[float]:
     y = np.array([ys[i] for i in idx], dtype=np.float64)
     lo = np.full(len(idx), 0.5)
     width = 0.5
-    while width > 1e-13:
+    while width > _BISECT_TOL:
         width *= 0.5
         mid = lo + width
         q = 1.0 - mid
@@ -216,9 +217,10 @@ def first_moment_curve(p: ModelParams, z: int) -> float:
 
 
 def _first_moment(p: ModelParams, zs, a) -> list[float]:
+    big = _choose2(p.kbar)
     args = []
     for z, az in zip(zs, a):
-        m = _choose2(p.kbar) - _choose2(z)
+        m = big - _choose2(z)
         arg = LN2 - az / m if m else LN2
         if arg < -1e-12:
             raise UndefinedCurveError(
@@ -229,7 +231,7 @@ def _first_moment(p: ModelParams, zs, a) -> list[float]:
     # a single point takes the scalar h^{-1}: a lockstep of one lane pays
     # its 43 rounds of numpy calls for nothing
     xs = _entropy_inv_many(args) if len(args) > 1 else [binary_entropy_inv(args[0])]
-    return [_choose2(z) + x * (_choose2(p.kbar) - _choose2(z)) for z, x in zip(zs, xs)]
+    return [_choose2(z) + x * (big - _choose2(z)) for z, x in zip(zs, xs)]
 
 
 def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = False) -> float:
@@ -266,10 +268,11 @@ def sqrt_approx_renormalized(p: ModelParams, z: int) -> float:
 
 
 def _sqrt_renormalized(p: ModelParams, zs, a) -> list[float]:
+    big = _choose2(p.kbar)
     out = []
     for z, az in zip(zs, a):
         cz = _choose2(z)
-        m = _choose2(p.kbar) - cz
+        m = big - cz
         out.append((0.5 * cz + math.sqrt(m * az / 2.0)) / p.kbar**1.5)
     return out
 
@@ -287,13 +290,14 @@ def first_moment_expansion(p: ModelParams, z: int) -> float:
 
 
 def _expansion(p: ModelParams, zs, a) -> list[float]:
+    big = _choose2(p.kbar)
     out = []
     for z, az in zip(zs, a):
         cz = _choose2(z)
-        m = _choose2(p.kbar) - cz
+        m = big - cz
         if m <= 0:
             raise DomainError(f"expansion undefined at z={z}: zero quadratic gap")
-        out.append(0.5 * (_choose2(p.kbar) + cz)
+        out.append(0.5 * (big + cz)
                    + math.sqrt(az * m / 2.0)
                    - math.sqrt(az**3 / m) / (6.0 * math.sqrt(2.0)))
     return out
@@ -410,17 +414,12 @@ class ClassifierConfig:
 
     epsilon: float = 0.1
     c0: float = 8.0
-    d1: float = 0.25
-    d2: float = 1.0
-    e: float = 4.0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ParameterError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.c0 <= 0 or self.d1 <= 0 or self.d2 <= 0 or self.e <= 0:
-            raise ParameterError("c0, d1, d2, e must be positive")
-        if not self.d1 < self.d2:
-            raise ParameterError(f"need d1 < d2, got {self.d1}, {self.d2}")
+        if self.c0 <= 0:
+            raise ParameterError(f"c0 must be positive, got {self.c0}")
 
 
 @dataclass(frozen=True)

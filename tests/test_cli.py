@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -218,6 +220,14 @@ def test_manifest_version_is_package_version(tmp_path):
     manifest = json.loads((tmp_path / "g.pcg.manifest.json").read_text())
     assert manifest["version"] == plandscape.__version__
     assert "threads" not in manifest["params"]
+
+
+def test_file_writing_run_closes_every_file(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sample", "--n", "14", "--k", "4", "--out", str(tmp_path / "g.pcg")]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # input -> documented exit code: a one-line message on failure, an empty

@@ -15,12 +15,14 @@ from plandscape.landscape import (
     densest_prediction,
     densest_subgraph,
     densest_with_overlap,
+    induced_edges,
+    kbar_subsets,
     local_search_densest,
     log_binomial_tail,
     log_expected_dense_count,
     subset_blocks,
 )
-from plandscape.mcmc import WellPartition, exact_gibbs, transition_matrix
+from plandscape.mcmc import MCMCConfig, WellPartition, exact_gibbs, run_chain, transition_matrix
 from plandscape.model import (
     BitGraph,
     ModelParams,
@@ -29,6 +31,7 @@ from plandscape.model import (
     edge_count,
     feasible_overlaps,
     mask_to_members,
+    overlap,
     rng_from_seed,
     sample_planted,
 )
@@ -207,10 +210,48 @@ def test_overlap_densest_monotone_under_edge_addition():
         rows = list(g.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        g2 = PlantedGraph(n=12, rows=tuple(rows), planted=g.planted,
-                          seed=g.seed, planted_mask=g.planted_mask)
+        g2 = PlantedGraph(n=12, rows=tuple(rows), planted=g.planted, seed=g.seed)
         for z in range(4):
             assert densest_with_overlap(g2, 4, z).value >= densest_with_overlap(g, 4, z).value
+
+
+def test_planted_split_is_derived_from_planted():
+    g = sample_planted(12, 4, 0)
+    h = PlantedGraph(n=g.n, rows=g.rows, planted=g.planted, seed=g.seed)
+    assert h == g
+    assert overlap(h, VertexSubset(g.planted)) == overlap(g, VertexSubset(g.planted)) == 4
+    for z in range(5):
+        got, want = densest_with_overlap(h, 5, z), densest_with_overlap(g, 5, z)
+        assert (got.value, got.witness) == (want.value, want.witness)
+        assert overlap(h, got.witness) == z
+    cfg = MCMCConfig(beta=1.0, kbar=5, t_max=3000, seed=5)
+    init = VertexSubset((0, 1, 2, 3, 4))
+    assert run_chain(h, cfg, init, max_overlap=2) == run_chain(g, cfg, init, max_overlap=2)
+
+
+def test_induced_edges_counts_rows_in_any_order():
+    g = sample_planted(70, 5, 1)  # bitmasks span two 64-bit words
+    rng = rng_from_seed(2)
+    c = np.array([rng.permutation(70)[:9] for _ in range(50)])
+    got = induced_edges(g, c)
+    assert got.dtype == np.int64
+    assert got.tolist() == [edge_count(g, VertexSubset.from_iterable(row)) for row in c.tolist()]
+
+
+def test_kbar_subsets_scan_blocks_in_lexicographic_order():
+    g = sample_planted(9, 3, 4)
+    masks, edges, overlaps = [], [], []
+    with mock.patch.object(landscape, "_ROWS", 10):
+        for m, e, z in kbar_subsets(g, 4, budget=126):
+            masks += m
+            edges += e.tolist()
+            overlaps += z.tolist()
+    subsets = [VertexSubset(c) for c in combinations(range(9), 4)]
+    assert masks == [s.mask for s in subsets]
+    assert edges == [edge_count(g, s) for s in subsets]
+    assert overlaps == [overlap(g, s) for s in subsets]
+    with pytest.raises(BudgetError, match=r"C\(9,4\) = 126 exceeds budget 125"):
+        kbar_subsets(g, 4, budget=125)  # at the call, not at the first block
 
 
 def test_max_over_z_equals_unconstrained():
@@ -291,8 +332,7 @@ def enum_graphs(draw, n_max=70):
     adj = np.triu(rng.random((n, n)) < density, 1)
     base = BitGraph.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))])
     planted = tuple(int(v) for v in rng.permutation(n)[:k])
-    return PlantedGraph(n=n, rows=base.rows, planted=planted,
-                        planted_mask=sum(1 << v for v in planted))
+    return PlantedGraph(n=n, rows=base.rows, planted=planted)
 
 
 @settings(max_examples=200)
@@ -452,8 +492,7 @@ def search_cases(draw):
     planted = tuple(int(v) for v in rng.permutation(n)[:k])
     if draw(st.booleans()):
         planted = tuple(sorted(planted))
-    g = PlantedGraph(n=n, rows=base.rows, planted=planted,
-                     planted_mask=sum(1 << v for v in planted))
+    g = PlantedGraph(n=n, rows=base.rows, planted=planted)
     kbar = draw(st.integers(1, n))
     z = draw(st.one_of(st.none(), st.integers(max(0, kbar - (n - k)), min(k, kbar))))
     return g, kbar, z

@@ -361,13 +361,21 @@ def test_exact_gibbs_budget():
         exact_gibbs(g, 15, 1.0, budget=1000)
 
 
+def test_exact_gibbs_and_transition_matrix_check_the_budget_before_allocating():
+    g = sample_planted(60, 4, 0)  # C(60, 30) ~ 1.2e17 states: no allocation could hold them
+    with pytest.raises(BudgetError, match=r"C\(60,30\) = \d+ exceeds budget"):
+        exact_gibbs(g, 30, 1.0)
+    with pytest.raises(BudgetError, match=r"C\(60,30\) = \d+ exceeds budget"):
+        transition_matrix(g, 30, 1.0)
+
+
 def test_exact_gibbs_rejects_kbar_below_k_before_enumerating(monkeypatch):
-    import plandscape.mcmc as mcmc
+    import plandscape.landscape as landscape
 
     def enumerate_nothing(n, kbar):
         raise AssertionError(f"enumerated C({n},{kbar}) before checking the parameters")
 
-    monkeypatch.setattr(mcmc, "subset_blocks", enumerate_nothing)
+    monkeypatch.setattr(landscape, "subset_blocks", enumerate_nothing)
     with pytest.raises(ParameterError, match="k=12 kbar=11"):
         exact_gibbs(sample_planted(22, 12, 0), 11, 1.0)
 

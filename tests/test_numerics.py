@@ -397,8 +397,6 @@ def test_classifier_window_with_fewer_than_3_points_raises():
 def test_classifier_config_validation():
     with pytest.raises(ParameterError):
         ClassifierConfig(epsilon=1.5)
-    with pytest.raises(ParameterError):
-        ClassifierConfig(d1=2.0, d2=1.0)
 
 
 def test_phase_diagram_labels():
