@@ -90,8 +90,8 @@ def _cmd_sample(args):
 def _cmd_curve(args):
     p = ModelParams(args.n, args.k, args.kbar)
     curve = numerics.curve_grid(p, args.kind, z_lo=args.z_lo, z_hi=args.z_hi)
-    rows = [(pt.z, pt.value, curve.kind, args.n, args.k, args.kbar)
-            for pt in curve.points]
+    rows = [(z, v, curve.kind, args.n, args.k, args.kbar)
+            for z, v in enumerate(curve.values, curve.z_lo)]
     _write_csv(args.out, "z,value,kind,n,k,kbar", rows)
     return [args.out]
 
@@ -157,11 +157,9 @@ def _cmd_d_curve(args):
     curve = ogp.overlap_curve(g, args.kbar, method=args.method,
                               budget=args.budget, restarts=args.restarts,
                               seed=args.seed)
-    rows = []
-    for pt in curve.points:
-        res = curve.results[pt.z]
-        rows.append((pt.z, int(pt.value), res.method,
-                     "-".join(str(v) for v in res.witness.members)))
+    rows = [(z, int(v), curve.results[z].method,
+             "-".join(str(u) for u in curve.results[z].witness.members))
+            for z, v in enumerate(curve.values, curve.z_lo)]
     _write_csv(args.out, "z,value,method,witness", rows)
     return [args.out]
 

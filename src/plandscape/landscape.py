@@ -224,6 +224,8 @@ def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
     lazy blocks of (Python-int bitmasks, induced edge counts, overlaps with
     the planted set).  BudgetError at the call, before any enumeration, when
     C(n, kbar) exceeds budget."""
+    if not 0 <= kbar <= g.n:
+        raise ParameterError(f"need 0 <= kbar <= n, got kbar={kbar} n={g.n}")
     total = math.comb(g.n, kbar)
     if total > budget:
         raise BudgetError(f"C({g.n},{kbar}) = {total} exceeds budget {budget}")

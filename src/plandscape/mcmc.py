@@ -62,10 +62,16 @@ class MCMCConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if self.beta < 0 or self.kbar < 1 or self.t_max < 0 or self.stride < 1:
-            raise ParameterError("need beta >= 0, kbar >= 1, t_max >= 0, stride >= 1")
+        _check_beta(self.beta)
+        if self.kbar < 1 or self.t_max < 0 or self.stride < 1:
+            raise ParameterError("need kbar >= 1, t_max >= 0, stride >= 1")
         if not self.d1 < self.d2:
             raise ParameterError(f"need d1 < d2, got {self.d1}, {self.d2}")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0 <= beta < math.inf:
+        raise ParameterError(f"beta must be finite and >= 0, got {beta}")
 
 
 def beta_scale_threshold(n: int, kbar: int) -> float:
@@ -261,6 +267,7 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
     """Exact Gibbs distribution by enumerating every kbar-subset (explicit
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
     p = ModelParams(g.n, g.k, kbar)
+    _check_beta(beta)
     blocks = kbar_subsets(g, kbar, budget)
     masks = []
     weights = np.empty(math.comb(g.n, kbar))
@@ -300,13 +307,12 @@ def well_ratio_lower_bound(p: ModelParams, beta: float, part: WellPartition,
 
 
 def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartition,
-                     seed: int, budget: int = 10**7, burn_in: int | None = None,
-                     return_info: bool = False):
+                     seed: int, budget: int = 10**7, return_info: bool = False):
     """Sample a start state from pi_beta conditioned on overlap <= a1_max.
 
     Exact conditional sampling whenever enumeration fits the budget;
-    otherwise a reflected-chain burn-in from a uniform low-overlap subset
-    (length 200 * n by default, reported via return_info)."""
+    otherwise a reflected-chain burn-in of 200 * n steps from a uniform
+    low-overlap subset (its length reported via return_info)."""
     rng = rng_from_seed(seed, stream=7)
     try:
         eg = exact_gibbs(g, kbar, beta, budget)
@@ -316,7 +322,6 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
         return (out, info) if return_info else out
     except BudgetError:
         pass
-    n = g.n
     non_planted = g.non_planted
     base = min(kbar, len(non_planted))
     members = [non_planted[i] for i in rng.permutation(len(non_planted))[:base]]
@@ -325,8 +330,8 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
         if need > part.a1_max:
             raise ParameterError("band cannot hold any kbar-subset")
         members += list(g.planted[:need])
-    steps = burn_in if burn_in is not None else 200 * n
-    cfg = MCMCConfig(beta=beta, kbar=kbar, t_max=steps, seed=seed ^ 0x5EED, stride=max(1, steps))
+    steps = 200 * g.n
+    cfg = MCMCConfig(beta=beta, kbar=kbar, t_max=steps, seed=seed ^ 0x5EED, stride=steps)
     trace = run_chain(g, cfg, VertexSubset.from_iterable(members),
                       max_overlap=part.a1_max)
     info = {"mode": "burnin", "burn_in": steps}

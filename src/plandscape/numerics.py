@@ -329,7 +329,8 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class OverlapCurve:
-    """Integer-indexed curve z -> value on [z_lo, z_hi], one point per z.
+    """Integer-indexed curve z -> value on [z_lo, z_hi]: values[i] is the
+    value at z = z_lo + i.
 
     `scale` relates stored values to the edge-count scale (renormalized
     curves store value * kbar^{-3/2}, so scale = kbar^{-3/2} there); the
@@ -338,25 +339,24 @@ class OverlapCurve:
 
     params: ModelParams
     kind: str  # Gamma | GammaTilde | Phi | Empirical
-    points: tuple[CurvePoint, ...]
     z_lo: int
-    z_hi: int
+    values: tuple[float, ...]
     exact: bool = False
     scale: float = 1.0
     results: dict = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        zs = [pt.z for pt in self.points]
-        if zs != list(range(self.z_lo, self.z_hi + 1)):
-            raise ParameterError("points must cover every integer z in [z_lo, z_hi]")
+    @property
+    def z_hi(self) -> int:
+        return self.z_lo + len(self.values) - 1
+
+    @property
+    def points(self) -> tuple[CurvePoint, ...]:
+        return tuple(CurvePoint(z, v) for z, v in enumerate(self.values, self.z_lo))
 
     def value(self, z: int) -> float:
         if not self.z_lo <= z <= self.z_hi:
             raise ParameterError(f"z={z} outside curve domain [{self.z_lo}, {self.z_hi}]")
-        return self.points[z - self.z_lo].value
-
-    def values(self) -> list[float]:
-        return [pt.value for pt in self.points]
+        return self.values[z - self.z_lo]
 
 
 _KIND_EVAL = {
@@ -394,11 +394,10 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
     check_overlap(hi, p.overlaps)
     if lo > hi:
         raise ParameterError(f"empty overlap window [{lo}, {hi}]")
-    zs = range(lo, hi + 1)
-    pts = tuple(CurvePoint(z, v) for z, v in zip(zs, fn(p, zs, _window_placements(p, lo, hi))))
+    values = tuple(fn(p, range(lo, hi + 1), _window_placements(p, lo, hi)))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
-    return OverlapCurve(params=p, kind=_KIND_NAMES[kind], points=pts, z_lo=lo,
-                        z_hi=hi, scale=scale)
+    return OverlapCurve(params=p, kind=_KIND_NAMES[kind], z_lo=lo, values=values,
+                        scale=scale)
 
 
 # --- monotonicity classification -----------------------------------------
@@ -418,8 +417,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ParameterError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.c0 <= 0:
-            raise ParameterError(f"c0 must be positive, got {self.c0}")
+        if not 0 < self.c0 < math.inf:
+            raise ParameterError(f"c0 must be positive and finite, got {self.c0}")
 
 
 @dataclass(frozen=True)
@@ -448,7 +447,7 @@ def classify_params(p: ModelParams, margin: float = 1.0) -> MonotonicityClass:
     `margin` > 1 widens an Indeterminate band around both boundaries; the
     boundary case k^2 = n is always Indeterminate.
     """
-    if margin < 1.0:
+    if not margin >= 1.0:
         raise ParameterError(f"margin must be >= 1, got {margin}")
     if p.k * p.k == p.n:
         return MonotonicityClass(INDETERMINATE)
@@ -495,7 +494,7 @@ def classify_curve(curve: OverlapCurve, cfg: ClassifierConfig | None = None) -> 
         raise ParameterError(
             f"curve domain [{curve.z_lo}, {curve.z_hi}] does not cover window [{lo}, {hi}]"
         )
-    vals = [curve.value(z) for z in range(lo, hi + 1)]
+    vals = curve.values[lo - curve.z_lo:hi + 1 - curve.z_lo]
 
     tol = 1e-6 * p.kbar * curve.scale
     diffs = [b - a for a, b in zip(vals, vals[1:])]

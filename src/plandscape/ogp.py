@@ -9,11 +9,12 @@ universal statement, and a heuristic curve can only produce evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, ParameterError
 from .model import PlantedGraph, VertexSubset
-from .numerics import CurvePoint, ModelParams, OverlapCurve, default_window
+from .numerics import ModelParams, OverlapCurve, default_window
 from . import landscape
 
 
@@ -54,36 +55,31 @@ def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
     z_hi = window[-1] if z_hi is None else min(z_hi, window[-1])
     if z_lo > z_hi:
         raise ParameterError(f"empty overlap window [{z_lo}, {z_hi}]")
-    pts = []
+    if method not in ("exhaustive", "local"):
+        raise ParameterError(f"method must be 'exhaustive' or 'local', got {method!r}")
+    if method == "local" and seed < 0:  # each z searches on seed ^ z
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     results = {}
     for z in range(z_lo, z_hi + 1):
         if method == "exhaustive":
-            res = landscape.densest_with_overlap(g, kbar, z, budget=budget)
-        elif method == "local":
-            res = landscape.local_search_densest(g, kbar, z=z, restarts=restarts,
-                                                 seed=seed ^ z)
+            results[z] = landscape.densest_with_overlap(g, kbar, z, budget=budget)
         else:
-            raise ParameterError(f"method must be 'exhaustive' or 'local', got {method!r}")
-        results[z] = res
-        pts.append(CurvePoint(z, float(res.value)))
-    return OverlapCurve(params=p, kind="Empirical",
-                        points=tuple(pts), z_lo=z_lo, z_hi=z_hi,
+            results[z] = landscape.local_search_densest(g, kbar, z=z, restarts=restarts,
+                                                        seed=seed ^ z)
+    return OverlapCurve(params=p, kind="Empirical", z_lo=z_lo,
+                        values=tuple(float(res.value) for res in results.values()),
                         exact=(method == "exhaustive"), results=results)
 
 
 def dip_witness(curve: OverlapCurve) -> DipWitness | None:
     """Deepest interior point strictly below both endpoint values; None when
     the curve is monotone or dip-free.  Ties break to the smallest overlap."""
-    if len(curve.points) < 3:
+    vals = curve.values
+    if len(vals) < 3:
         return None
-    vals = curve.values()
     lo, hi = vals[0], vals[-1]
-    cut = min(lo, hi)
-    best = None
-    for i in range(1, len(vals) - 1):
-        if vals[i] < cut and (best is None or vals[i] < vals[best]):
-            best = i
-    if best is None:
+    best = min(range(1, len(vals) - 1), key=vals.__getitem__)
+    if not vals[best] < min(lo, hi):
         return None
     return DipWitness(z_star=curve.z_lo + best, dip_value=vals[best],
                       lo_value=lo, hi_value=hi)
@@ -99,21 +95,18 @@ def certify_ogp(g: PlantedGraph, kbar: int, curve: OverlapCurve,
     Witness subsets come from the stored per-overlap maximizers."""
     if not curve.exact:
         raise CertificationError("certification requires an exhaustively computed curve")
+    if not math.isfinite(r_n):
+        raise ParameterError(f"r_n must be finite, got {r_n}")
     if not (curve.z_lo <= zeta1 < zeta2 <= curve.z_hi):
         raise ParameterError(
             f"need z_lo <= zeta1 < zeta2 <= z_hi, got {zeta1}, {zeta2}")
 
-    def region_max(z_from, z_to):
-        best_z = None
-        for z in range(z_from, z_to + 1):
-            if best_z is None or curve.value(z) > curve.value(best_z):
-                best_z = z
-        return best_z
+    def region_max(z_from, z_to):  # first z of the largest value
+        return max(range(z_from, z_to + 1), key=curve.value)
 
     low_z = region_max(curve.z_lo, zeta1)
     high_z = region_max(zeta2, curve.z_hi)
-    band = [z for z in range(zeta1 + 1, zeta2)]
-    band_z = region_max(zeta1 + 1, zeta2 - 1) if band else None
+    band_z = region_max(zeta1 + 1, zeta2 - 1) if zeta2 - zeta1 > 1 else None
 
     cond1 = curve.value(low_z) >= r_n and curve.value(high_z) >= r_n
     cond2 = band_z is None or curve.value(band_z) < r_n

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -251,6 +252,15 @@ CONTRACT = [
     ("dense --graph {g} --K 5 --method local --restarts -1 --out d.json", EXIT_USAGE),
     ("dense --graph missing.pcg --K 5 --out d.json", EXIT_USAGE),
     ("dense --graph {g} --K 9 --budget 5 --out d.json", EXIT_BUDGET),
+    ("hit --graph {g} --kbar 5 --beta nan --t-max 100 --out h.json", EXIT_USAGE),
+    ("hit --graph {g} --kbar 5 --beta inf --t-max 100 --out h.json", EXIT_USAGE),
+    ("classify --n 1000 --k 20 --kbar 40 --empirical --c0 nan", EXIT_USAGE),
+    ("classify --n 1000 --k 20 --kbar 40 --empirical --c0 inf", EXIT_USAGE),
+    ("few --graph {g} --beta nan --out f.json", EXIT_USAGE),
+    ("ogp --graph {g} --zeta1 1 --zeta2 3 --rn nan --out o.json", EXIT_USAGE),
+    ("mcmc --graph {g} --beta nan --t-max 10 --out tr.csv", EXIT_USAGE),
+    ("classify --n 1000 --k 20 --kbar 40 --margin nan", EXIT_USAGE),
+    ("phase --n 1000 --k-grid 20 --kbar-grid 40 --margin nan --out p.csv", EXIT_USAGE),
 ]
 
 
@@ -267,6 +277,30 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
         return
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
+
+
+@pytest.mark.parametrize("argv", [
+    "d-curve --graph {g} --kbar 5 --method local --seed -1 --out d.csv",
+    "ogp --graph {g} --kbar 5 --method local --seed -1 --out o.json",
+])
+def test_local_curve_names_the_seed_it_was_given(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--out", "g.pcg"]) == 0
+    capsys.readouterr()
+    assert main(argv.format(g="g.pcg").split()) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_every_benchmark_wrapped_function_exists():
+    # the benchmark tracer getattr()s each of these at start-up, so a
+    # missing one fails every traced run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(mod, name) for mod, name, _, _ in spans.WRAPPED
+               if not callable(getattr(importlib.import_module(f"plandscape.{mod}"), name, None))]
+    assert spans.WRAPPED and missing == []
 
 
 def test_help_available_for_all_subcommands(capsys):

@@ -252,6 +252,10 @@ def test_kbar_subsets_scan_blocks_in_lexicographic_order():
     assert overlaps == [overlap(g, s) for s in subsets]
     with pytest.raises(BudgetError, match=r"C\(9,4\) = 126 exceeds budget 125"):
         kbar_subsets(g, 4, budget=125)  # at the call, not at the first block
+    wide = sample_planted(20, 5, 0)
+    for kbar in (-1, 25):  # comb raises at -1 and is 0, within budget, at 25
+        with pytest.raises(ParameterError, match=rf"^need 0 <= kbar <= n, got kbar={kbar} n=20$"):
+            kbar_subsets(wide, kbar, 10)
 
 
 def test_max_over_z_equals_unconstrained():

@@ -380,6 +380,15 @@ def test_exact_gibbs_rejects_kbar_below_k_before_enumerating(monkeypatch):
         exact_gibbs(sample_planted(22, 12, 0), 11, 1.0)
 
 
+def test_beta_must_be_finite_and_non_negative():
+    g = sample_planted(12, 4, 0)
+    for beta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
+            MCMCConfig(beta=beta, kbar=4, t_max=10, seed=0)
+        with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
+            exact_gibbs(g, 4, beta)
+
+
 def test_exact_gibbs_prob_of_rejects_masks_off_the_state_space():
     eg = exact_gibbs(sample_planted(8, 2, 0), 3, 1.0)
     assert eg.prob_of(0b111) > 0.0

@@ -57,9 +57,8 @@ PHI_30_5_6_2 = 15.80012470451282213899
 def synthetic_curve(values, n=1000, k=None, kbar=None, z_lo=0, scale=1.0):
     k = k or (z_lo + len(values) - 1)
     kbar = kbar or k
-    pts = tuple(CurvePoint(z_lo + i, float(v)) for i, v in enumerate(values))
-    return OverlapCurve(params=ModelParams(n, k, kbar), kind="Empirical",
-                        points=pts, z_lo=z_lo, z_hi=z_lo + len(values) - 1, scale=scale)
+    return OverlapCurve(params=ModelParams(n, k, kbar), kind="Empirical", z_lo=z_lo,
+                        values=tuple(float(v) for v in values), scale=scale)
 
 
 # --- entropy toolkit -----------------------------------------------------
@@ -369,6 +368,28 @@ def test_curve_grid_rejects_windows_outside_feasible_overlaps():
     assert [pt.z for pt in curve_grid(p, "gamma", 20).points] == [20]
 
 
+def test_curve_points_and_z_hi_are_derived_from_values():
+    p = ModelParams(1000, 20, 30)
+    for curve in (curve_grid(p, "gamma"), curve_grid(p, "phi", 5, 9),
+                  synthetic_curve([4.0, 1.0, 2.0], z_lo=3)):
+        vals = curve.values
+        assert curve.points == tuple(CurvePoint(curve.z_lo + i, v) for i, v in enumerate(vals))
+        assert curve.z_hi == curve.z_lo + len(vals) - 1
+        assert [curve.value(z) for z in range(curve.z_lo, curve.z_hi + 1)] == list(vals)
+        for z in (curve.z_lo - 1, curve.z_hi + 1):
+            with pytest.raises(ParameterError, match="outside curve domain"):
+                curve.value(z)
+
+
+def test_non_finite_classifier_inputs_raise_parameter_error():
+    p = ModelParams(1000, 20, 40)
+    for c0 in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="c0 must be positive and finite"):
+            ClassifierConfig(c0=c0)
+    with pytest.raises(ParameterError, match="margin must be >= 1"):
+        classify_params(p, margin=math.nan)
+
+
 def test_classifier_window_lets_phi_classify_at_k_equal_kbar():
     p = ModelParams(1000, 20, 20)
     window = classifier_window(p)
@@ -484,14 +505,14 @@ def test_curve_grid_window_equals_per_point_functions(case):
                 assert str(got.value) == str(exc), kind
                 break
         else:
-            assert [v.hex() for v in curve_grid(p, kind, lo, hi).values()] == want, kind
+            assert [v.hex() for v in curve_grid(p, kind, lo, hi).values] == want, kind
 
 
 def test_curve_at_zero_quadratic_gap_is_choose2():
     # kbar = 1 leaves M = C(kbar,2) - C(z,2) = 0 at z = 0 as well as at z = kbar
     p = ModelParams(10, 1, 1)
     assert [first_moment_curve(p, z) for z in (0, 1)] == [0.0, 0.0]
-    assert curve_grid(p, "gamma").values() == [0.0, 0.0]
+    assert curve_grid(p, "gamma").values == (0.0, 0.0)
 
 
 def test_log_binomials_match_log_binomial_on_one_table():
@@ -561,7 +582,7 @@ def _call_orders(p):
 
 
 def _fresh_bits(p, kind, lo, hi):
-    return [v.hex() for v in curve_grid(ModelParams(p.n, p.k, p.kbar), kind, lo, hi).values()]
+    return [v.hex() for v in curve_grid(ModelParams(p.n, p.k, p.kbar), kind, lo, hi).values]
 
 
 @pytest.mark.parametrize("order", ["full-then-sub", "sub-then-full", "disjoint",
@@ -570,7 +591,7 @@ def _fresh_bits(p, kind, lo, hi):
 def test_curve_grid_memo_equals_fresh_params_in_any_call_order(triple, order):
     p = ModelParams(*triple)
     for kind, lo, hi in _call_orders(p)[order]:
-        values = curve_grid(p, kind, lo, hi).values()
+        values = curve_grid(p, kind, lo, hi).values
         assert {type(v) for v in values} == {float}
         assert [v.hex() for v in values] == _fresh_bits(p, kind, lo, hi), (kind, lo, hi)
         assert len(p._placements[1]) <= len(p.overlaps)
@@ -613,7 +634,7 @@ def test_curve_grid_memo_holds_at_most_one_value_per_overlap():
     for _ in range(200):
         lo, hi = sorted(rng.integers(p.overlaps.start, p.overlaps.stop, 2).tolist())
         kind = KINDS[int(rng.integers(0, len(KINDS)))]
-        got = [v.hex() for v in curve_grid(p, kind, lo, hi).values()]
+        got = [v.hex() for v in curve_grid(p, kind, lo, hi).values]
         assert got == _fresh_bits(p, kind, lo, hi)
         assert len(p._placements[1]) <= len(p.overlaps)
 
@@ -624,8 +645,8 @@ def test_equal_params_objects_give_the_same_bits():
     lo, hi = _window(a)
     curve_grid(a, "phi", lo + 100, hi)  # a answers from its memo, b computes fresh
     for kind in KINDS:
-        assert ([v.hex() for v in curve_grid(a, kind, lo, hi).values()]
-                == [v.hex() for v in curve_grid(b, kind, lo, hi).values()]), kind
+        assert ([v.hex() for v in curve_grid(a, kind, lo, hi).values]
+                == [v.hex() for v in curve_grid(b, kind, lo, hi).values]), kind
 
 
 def test_memo_leaves_params_equality_hash_and_repr_alone():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,9 +14,8 @@ from plandscape.ogp import auto_certify, certify_ogp, dip_witness, overlap_curve
 def make_curve(values, exact=True, n=100, k=None, kbar=None):
     k = k or len(values) - 1
     kbar = kbar or k
-    pts = tuple(CurvePoint(z, float(v)) for z, v in enumerate(values))
-    return OverlapCurve(params=ModelParams(n, k, kbar), kind="Empirical",
-                        points=pts, z_lo=0, z_hi=len(values) - 1, exact=exact)
+    return OverlapCurve(params=ModelParams(n, k, kbar), kind="Empirical", z_lo=0,
+                        values=tuple(float(v) for v in values), exact=exact)
 
 
 def enumerate_dense_overlaps(g, kbar, r_n):
@@ -173,6 +174,37 @@ def test_overlap_curve_optional_window():
     assert [win.value(z) for z in (2, 3)] == [full.value(2), full.value(3)]
     with pytest.raises(ParameterError):
         overlap_curve(g, 5, z_lo=4, z_hi=2)
+
+
+def test_curve_points_and_z_hi_are_derived_from_values():
+    g = sample_planted(14, 4, 7)
+    for curve in (overlap_curve(g, 5), overlap_curve(g, 5, method="local", seed=3),
+                  make_curve([3, 1, 2, 5])):
+        vals = curve.values
+        assert curve.points == tuple(CurvePoint(curve.z_lo + i, v) for i, v in enumerate(vals))
+        assert curve.z_hi == curve.z_lo + len(vals) - 1
+        assert [curve.value(z) for z in range(curve.z_lo, curve.z_hi + 1)] == list(vals)
+        for z in (curve.z_lo - 1, curve.z_hi + 1):
+            with pytest.raises(ParameterError, match="outside curve domain"):
+                curve.value(z)
+
+
+def test_certify_ogp_breaks_ties_to_the_smallest_overlap():
+    g = sample_planted(14, 4, 7)
+    curve = dataclasses.replace(make_curve([5, 5, 4, 4, 5, 5]),
+                                results={z: SimpleNamespace(witness=z) for z in range(6)})
+    held = certify_ogp(g, 5, curve, 1, 4, 4.5)
+    assert held.holds and (held.low_witness, held.high_witness) == (0, 4)
+    refuted = certify_ogp(g, 5, curve, 1, 4, 3.0)
+    assert not refuted.holds and refuted.violation == (2, 2)
+
+
+def test_certify_ogp_rejects_a_non_finite_level():
+    g = sample_planted(14, 4, 7)
+    curve = overlap_curve(g, 5)
+    for r_n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="r_n must be finite"):
+            certify_ogp(g, 5, curve, curve.z_lo, curve.z_hi, r_n)
 
 
 def test_overlap_curve_rejects_kbar_below_k_before_enumerating():
