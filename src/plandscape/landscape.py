@@ -19,6 +19,8 @@ from .model import (
     edge_count,
     feasible_overlaps,
     rng_from_seed,
+    _pack_words,
+    _word_ints,
 )
 from .numerics import LN2, binary_entropy_inv, log_binomial, log_placements, rate_function
 
@@ -184,27 +186,10 @@ def subset_blocks(n: int, k: int):
     yield np.concatenate(buf)
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 uint8 matrix as little-endian uint64 words: bit j of a
-    row is bit j % 64 of word j // 64, so any n fits."""
-    out = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
-    out[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view("<u8")
-
-
 def _subset_words(c: np.ndarray, n: int) -> np.ndarray:
-    """Bitmasks of the rows of c (vertex lists over range(n)) as uint64 words."""
-    ind = np.zeros((len(c), n), dtype=np.uint8)
-    ind[np.arange(len(c))[:, None], c] = 1
-    return _pack_words(ind)
-
-
-def _word_ints(words: np.ndarray) -> list:
-    """The Python-int bitmask of each row of _subset_words."""
-    ints = words[:, 0].tolist()
-    for w in range(1, words.shape[1]):
-        ints = [m | x << 64 * w for m, x in zip(ints, words[:, w].tolist())]
-    return ints
+    """Bitmasks of the rows of c (distinct vertices of range(n)) as uint64
+    words: the sum of the members' one-hot words, which share no bit."""
+    return _pack_words(np.eye(n, dtype=bool))[c].sum(axis=1)
 
 
 def _induced_edges(row_words: np.ndarray, c: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -216,7 +201,7 @@ def _induced_edges(row_words: np.ndarray, c: np.ndarray, words: np.ndarray) -> n
 def induced_edges(g: BitGraph, c: np.ndarray) -> np.ndarray:
     """Edges of g induced by each row of c, a matrix of distinct vertices
     per row in any order, as int64: the one batch subset-edge counter."""
-    return _induced_edges(_pack_words(g.dense), c, _subset_words(c, g.n))
+    return _induced_edges(g.words, c, _subset_words(c, g.n))
 
 
 def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
@@ -229,12 +214,11 @@ def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
     total = math.comb(g.n, kbar)
     if total > budget:
         raise BudgetError(f"C({g.n},{kbar}) = {total} exceeds budget {budget}")
-    row_words = _pack_words(g.dense)
     planted = np.isin(np.arange(g.n), g.planted)
 
     def block(c):  # c's masks are packed once, for both bitmasks and edges
         words = _subset_words(c, g.n)
-        return _word_ints(words), _induced_edges(row_words, c, words), planted[c].sum(axis=1)
+        return _word_ints(words), _induced_edges(g.words, c, words), planted[c].sum(axis=1)
 
     return map(block, subset_blocks(g.n, kbar))
 

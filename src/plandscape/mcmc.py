@@ -38,8 +38,7 @@ class WellPartition:
 
     @classmethod
     def from_params(cls, n: int, k: int, kbar: int, d1: float, d2: float) -> "WellPartition":
-        if not 0 < d1 < d2:
-            raise ParameterError(f"need 0 < d1 < d2, got {d1}, {d2}")
+        _check_wells(d1, d2)
         if kbar >= n:
             raise ParameterError("well scale needs kbar < n")
         s = math.sqrt(kbar / math.log(n / kbar))
@@ -65,13 +64,17 @@ class MCMCConfig:
         _check_beta(self.beta)
         if self.kbar < 1 or self.t_max < 0 or self.stride < 1:
             raise ParameterError("need kbar >= 1, t_max >= 0, stride >= 1")
-        if not self.d1 < self.d2:
-            raise ParameterError(f"need d1 < d2, got {self.d1}, {self.d2}")
+        _check_wells(self.d1, self.d2)
 
 
 def _check_beta(beta: float) -> None:
     if not 0 <= beta < math.inf:
         raise ParameterError(f"beta must be finite and >= 0, got {beta}")
+
+
+def _check_wells(d1: float, d2: float) -> None:
+    if not 0 < d1 < d2 < math.inf:
+        raise ParameterError(f"need 0 < d1 < d2 < inf, got {d1}, {d2}")
 
 
 def beta_scale_threshold(n: int, kbar: int) -> float:
@@ -268,6 +271,8 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
     p = ModelParams(g.n, g.k, kbar)
     _check_beta(beta)
+    if not math.isfinite(beta * math.comb(kbar, 2)):  # else weights - max is inf - inf
+        raise ParameterError(f"beta * C(kbar, 2) overflows: beta={beta}, kbar={kbar}")
     blocks = kbar_subsets(g, kbar, budget)
     masks = []
     weights = np.empty(math.comb(g.n, kbar))

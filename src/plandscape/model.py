@@ -2,8 +2,11 @@
 
 Graphs are stored as packed bit rows (one Python int per vertex, bit j of
 row i set iff {i, j} is an edge) so that edge counting reduces to
-word-parallel AND + popcount.  Vectorised kernels read `BitGraph.dense`, an
-n x n uint8 view unpacked from those rows once per graph and cached.  All
+word-parallel AND + popcount.  `BitGraph.words` is the one packed view of
+those rows, n x ceil(n/64) little-endian uint64 words built once per graph;
+batch kernels read it, and `BitGraph.dense`, the n x n uint8 matrix that
+vectorised kernels read, is unpacked from it.  Only this module knows the
+layout: `_pack_words` and `_word_ints` convert to and from it.  All
 randomness comes from numpy's Philox counter-based generator keyed by a
 64-bit seed, which makes every sample bit-reproducible across platforms.
 """
@@ -26,17 +29,19 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _pack_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Rows of a boolean adjacency matrix as ints with bit j == adj[i, j]."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as little-endian uint64 words: bit j of a row is
+    bit j % 64 of word j // 64, the layout of BitGraph.words."""
+    out = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
-def _unpack_rows(rows, n: int) -> np.ndarray:
-    """Inverse of _pack_rows: n x n uint8 matrix with [i, j] == bit j of rows[i]."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(n, width), axis=1, count=n, bitorder="little")
+def _word_ints(words: np.ndarray) -> list:
+    """The Python int of each row of packed words (inverse of the packer)."""
+    if words.shape[1] == 1:  # .tolist() beats int.from_bytes on one word
+        return words[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,17 @@ class BitGraph:
         return cls(n, tuple(rows))
 
     @functools.cached_property
+    def words(self) -> np.ndarray:
+        """Read-only n x ceil(n/64) little-endian uint64 words of the rows:
+        the one packed view, built once per graph."""
+        width = -(-self.n // 64)
+        raw = b"".join(r.to_bytes(8 * width, "little") for r in self.rows)
+        return np.frombuffer(raw, dtype="<u8").reshape(self.n, width)
+
+    @functools.cached_property
     def dense(self) -> np.ndarray:
-        """Read-only n x n uint8 adjacency matrix, built once from the rows."""
-        adj = _unpack_rows(self.rows, self.n)
+        """Read-only n x n uint8 adjacency matrix, unpacked once from words."""
+        adj = np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n, bitorder="little")
         adj.flags.writeable = False
         return adj
 
@@ -201,7 +214,8 @@ def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
     pl = np.array(planted)
     adj[np.ix_(pl, pl)] = True
     np.fill_diagonal(adj, False)
-    return PlantedGraph(n=n, rows=_pack_rows(adj), planted=planted, seed=seed)
+    rows = tuple(_word_ints(_pack_words(adj)))
+    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed)
 
 
 def _check_subset(g: BitGraph, s: VertexSubset) -> None:
@@ -263,9 +277,9 @@ def load_graph(path) -> BitGraph:
     for i in range(n):
         if lower[i] >> i:
             raise ParameterError(f"row {i} has bits at or above the diagonal")
-    adj = _unpack_rows(lower, n)
-    adj |= adj.T
-    rows = _pack_rows(adj)
+    half = BitGraph(n=n, rows=tuple(lower)).dense  # decodes the lower triangle
+    adj = half | half.T
+    rows = tuple(_word_ints(_pack_words(adj)))
     if k == 0:
         return BitGraph(n=n, rows=rows)
     pl = np.array(planted)

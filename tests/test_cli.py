@@ -261,6 +261,12 @@ CONTRACT = [
     ("mcmc --graph {g} --beta nan --t-max 10 --out tr.csv", EXIT_USAGE),
     ("classify --n 1000 --k 20 --kbar 40 --margin nan", EXIT_USAGE),
     ("phase --n 1000 --k-grid 20 --kbar-grid 40 --margin nan --out p.csv", EXIT_USAGE),
+    ("hit --graph {g} --beta 1.0 --t-max 10 --d2 inf --out h.json", EXIT_USAGE),
+    ("few --graph {g} --beta 1.0 --d2 inf --out f.json", EXIT_USAGE),
+    ("mcmc --graph {g} --init conditional --beta 1.0 --t-max 10 --d2 inf --out tr.csv", EXIT_USAGE),
+    ("hit --graph {g} --beta 1e308 --t-max 10 --out h.json", EXIT_USAGE),
+    ("few --graph {g} --beta 1e308 --out f.json", EXIT_USAGE),
+    ("mcmc --graph {g} --init conditional --beta 1e308 --t-max 10 --out tr.csv", EXIT_USAGE),
 ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plandscape import landscape
+from plandscape import landscape, model
 from plandscape.errors import BudgetError, DomainError, ParameterError
 from plandscape.landscape import (
     EXHAUSTIVE,
@@ -379,6 +379,11 @@ def test_exact_paths_match_reference_past_one_word():
     assert eg.log_weights.tobytes() == weights.tobytes() and eg.log_z == log_z
     assert eg.overlaps.tobytes() == overlaps.tobytes()
     assert transition_matrix(g, 65, 1.5)[1] == masks
+    rng = np.random.default_rng(0)
+    for size in (1, 2, 63, 64, 65, 66):  # rows in any order, masks over two words
+        c = np.array([rng.permutation(66)[:size] for _ in range(40)])
+        assert model._word_ints(landscape._subset_words(c, 66)) == \
+            [VertexSubset.from_iterable(row.tolist()).mask for row in c]
     for z in range(4):
         r = densest_with_overlap(g, 3, z)
         assert (r.value, r.witness.members) == reference_densest_with_overlap(g, 3, z)

@@ -387,6 +387,9 @@ def test_beta_must_be_finite_and_non_negative():
             MCMCConfig(beta=beta, kbar=4, t_max=10, seed=0)
         with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
             exact_gibbs(g, 4, beta)
+    with pytest.raises(ParameterError, match="overflows"):
+        exact_gibbs(g, 5, 1e308)  # C(5, 2) * 1e308 is inf
+    assert np.isfinite(exact_gibbs(g, 5, 1e307).log_weights).all()
 
 
 def test_exact_gibbs_prob_of_rejects_masks_off_the_state_space():
@@ -404,8 +407,13 @@ def test_well_partition_from_params():
     part = WellPartition.from_params(12, 4, 4, 0.25, 0.5)
     assert part == DESK_PART
     assert part.valid
-    with pytest.raises(ParameterError):
-        WellPartition.from_params(12, 4, 4, 0.5, 0.25)
+    # one predicate, 0 < d1 < d2 < inf, in WellPartition and MCMCConfig
+    for d1, d2 in ((0.5, 0.25), (0.0, 1.0), (-1.0, 1.0), (0.25, math.inf),
+                   (math.nan, 1.0), (0.25, math.nan), (0.25, 0.25)):
+        with pytest.raises(ParameterError, match="need 0 < d1 < d2 < inf"):
+            WellPartition.from_params(12, 4, 4, d1, d2)
+        with pytest.raises(ParameterError, match="need 0 < d1 < d2 < inf"):
+            MCMCConfig(beta=1.0, kbar=4, t_max=10, seed=0, d1=d1, d2=d2)
 
 
 def test_well_ratio_beta_zero_counts():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plandscape import model
 from plandscape.errors import ParameterError
 from plandscape.model import (
     BitGraph,
@@ -152,9 +153,13 @@ def test_plain_graph_file_roundtrip(tmp_path):
 
 
 def test_dense_view_matches_has_edge():
-    graphs = [sample_planted(n, min(n, 4), n) for n in (1, 2, 7, 8, 9, 16, 23)]
+    graphs = [sample_planted(n, min(n, 4), n) for n in (1, 2, 7, 8, 9, 16, 23, 63, 64, 65, 130)]
     graphs.append(BitGraph.from_edges(9, [(0, 8), (2, 7), (7, 8)]))
     for g in graphs:
+        w = g.words
+        assert w.shape == (g.n, -(-g.n // 64)) and w.dtype == np.dtype("<u8")
+        assert not w.flags.writeable and g.words is w
+        assert tuple(model._word_ints(w)) == g.rows
         a = g.dense
         assert a.shape == (g.n, g.n) and a.dtype == np.uint8
         assert not a.flags.writeable and g.dense is a
