@@ -4,8 +4,8 @@ recording the full parameter set, tool version, wall time and sha256 of each
 output, so any run can be reproduced bit-for-bit from its manifest.
 
 Exit codes: 0 success (ogp: certificate holds), 2 usage error, 3 ogp
-refuted, 4 ogp not certifiable (heuristic curve), 5 enumeration budget
-exceeded.
+refuted, 4 ogp not certifiable (heuristic curve), 5 budget exceeded (search
+nodes for dense, d-curve and ogp; subsets for few).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exhaustive computation would exceed the enumeration budget."""
+    """An exact computation would exceed its budget (subsets or search nodes)."""
 
 
 class UndefinedCurveError(ArithmeticError):

@@ -103,9 +103,8 @@ def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: 
         for i in np.flatnonzero(edges > thr[ell]):
             found.setdefault((ell, tuple(sorted(picks[i].tolist()))), float(edges[i] - thr[ell]))
 
-    for ell in range(2, K):
-        draws = [rng.permutation(K)[:ell] for _ in range(samples)]
-        check(ell, np.array(draws, dtype=np.intp).reshape(samples, ell))
+    for ell in range(2, K):  # the draws of one rng.permutation(K) per sample
+        check(ell, rng.permuted(np.tile(np.arange(K), (samples, 1)), axis=1)[:, :ell])
     step = max(1, K // 10)
     for ell in range(2, K, step):
         res = landscape.local_search_densest(g, ell, restarts=2, seed=seed)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -223,76 +224,31 @@ def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
     return map(block, subset_blocks(g.n, kbar))
 
 
-def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
-                         budget: int = 10**8) -> DensestResult:
-    """Exact maximum edge count over kbar-subsets with overlap exactly z,
-    by enumerating planted choices x non-planted choices.  Witness ties break
-    to the lexicographically smallest subset."""
-    n, k = g.n, g.k
-    check_overlap(z, feasible_overlaps(n, k, kbar))
-    count = math.comb(k, z) * math.comb(n - k, kbar - z)
-    if count > budget:
-        raise BudgetError(
-            f"{count} subsets at z={z}: too large for exhaustive (budget {budget})")
-    planted = np.array(g.planted, dtype=np.intp)
-    others = np.array(g.non_planted, dtype=np.intp)
-    best_val, best_members = -1, None
-    for pc in subset_blocks(k, z):
-        for fc in subset_blocks(n - k, kbar - z):
-            f = others[fc]
-            step = max(1, _ROWS // len(f))  # planted rows per product chunk
-            for i in range(0, len(pc), step):
-                p = planted[pc[i:i + step]]
-                c = np.concatenate([np.repeat(p, len(f), axis=0), np.tile(f, (len(p), 1))], axis=1)
-                edges = induced_edges(g, c)
-                top = int(edges.max())
-                if top < best_val:
-                    continue
-                ties = np.sort(c[edges == top], axis=1)
-                for j in range(kbar):  # keep the lexicographically smallest
-                    ties = ties[ties[:, j] == ties[:, j].min()]
-                members = tuple(ties[0].tolist())
-                if top > best_val or members < best_members:
-                    best_val, best_members = top, members
-    return DensestResult(best_val, VertexSubset(best_members), EXHAUSTIVE)
-
-
-def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
-    """Exact densest K-subgraph of any graph by branch and bound.
-
-    `budget` caps the number of explored search nodes (an explicit error when
-    exceeded, never a silent fallback).  The bound at a node with s chosen
-    vertices, e internal edges and r = K - s slots left is
-    e + (sum of the r largest candidate degrees into the chosen set)
-    + C(r,2); candidates are scanned in decreasing order of that degree, so
-    near-clique optima prune almost everything.
-    """
-    n = g.n
-    if not 1 <= K <= n:
-        raise ParameterError(f"need 1 <= K <= n, got K={K} n={n}")
-    if K == 1:
-        return DensestResult(0, VertexSubset((0,)), EXHAUSTIVE)
-
-    adj = g.dense.astype(np.int64)
-    seed_res = local_search_densest(g, K, restarts=4, seed=0)
-    best_val = seed_res.value
-    best_members = list(seed_res.witness.members)
-
-    cand0 = np.argsort(-adj.sum(axis=1), kind="stable")  # degree desc, then label
-    d0 = np.zeros(n, dtype=np.int64)
-    nodes = 0
+def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=False):
+    """Best K-subset extending `chosen` (`edges` edges) from the pool `cand`
+    (`d_in` degrees into `chosen`), improving on the incumbent `best` =
+    (value, sorted members, nodes so far), returned updated.  `budget` caps
+    the nodes: an explicit error, never a silent fallback.  The bound with e
+    edges and r slots left is e + (the r largest degrees into the chosen set)
+    + C(r,2); candidates go in decreasing degree, so near-clique optima prune
+    almost everything.  With `ties`, a tie goes to the lexicographically
+    smaller witness, so a branch that can only tie is searched while its
+    smallest completion sorts below the incumbent's."""
+    best_val, best_members, nodes = best
     cr2 = [r * (r - 1) // 2 for r in range(K + 1)]
+    floor = 0 if ties else 1  # a branch must reach best_val + floor
 
     def recurse(cand, d_in, chosen, edges):
         nonlocal best_val, best_members, nodes
         nodes += 1
         if nodes > budget:
+            so_far = best_val if best_val >= 0 else "none"
             raise BudgetError(f"branch-and-bound exceeded node budget {budget}: "
-                              f"{nodes - 1} nodes explored, best value so far {best_val}")
+                              f"{nodes - 1} nodes explored, best value so far {so_far}")
         r = K - len(chosen)
         if r == 0:
-            if edges > best_val:
-                best_val, best_members = edges, list(chosen)
+            if edges > best_val or (ties and edges == best_val and tuple(sorted(chosen)) < best_members):
+                best_val, best_members = edges, tuple(sorted(chosen))
             return
         if len(cand) < r:
             return
@@ -304,17 +260,54 @@ def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
             # optimistic sibling bound, nonincreasing in i: each later vertex
             # can add at most one edge to cand[i] on top of its current degree
             top_rest = suffix_top[i + r - 1] - suffix_top[i] if r > 1 else 0
-            if edges + d_in[i] + top_rest + (r - 1) + cr2[r - 1] <= best_val:
+            bound = edges + d_in[i] + top_rest + (r - 1) + cr2[r - 1]
+            if bound < best_val + floor:
                 break
             v = int(cand[i])
+            if ties and bound == best_val and tuple(sorted(  # a tie needs a smaller witness
+                    [*chosen, v, *np.sort(cand[i + 1 :])[: r - 1].tolist()])) >= best_members:
+                continue
             child_cand = cand[i + 1 :]
             child_d = d_in[i + 1 :] + adj[v, child_cand]
             chosen.append(v)
             recurse(child_cand, child_d, chosen, edges + int(d_in[i]))
             chosen.pop()
 
-    recurse(cand0, d0, [], 0)
-    return DensestResult(best_val, VertexSubset.from_iterable(best_members), EXHAUSTIVE)
+    recurse(cand, d_in, list(chosen), edges)
+    return best_val, best_members, nodes
+
+
+def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
+                         budget: int = 10**8) -> DensestResult:
+    """Exact maximum edge count over kbar-subsets with overlap exactly z, by
+    branch and bound over the non-planted vertices per planted z-subset (the
+    incumbent carried across them; `budget` caps the call's search nodes).
+    Witness ties break to the lexicographically smallest subset."""
+    check_overlap(z, feasible_overlaps(g.n, g.k, kbar))
+    adj = g.dense.astype(np.int64)
+    others = np.array(g.non_planted, dtype=np.intp)
+    best = (-1, None, 0)
+    for fixed in combinations(g.planted, z):
+        inside = adj[list(fixed)]
+        best = _branch_and_bound(adj, others, inside[:, others].sum(axis=0),
+                                 int(inside[:, fixed].sum()) // 2, fixed, kbar, best, budget, ties=True)
+    return DensestResult(best[0], VertexSubset(best[1]), EXHAUSTIVE)
+
+
+def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
+    """Exact densest K-subgraph of any graph by branch and bound over all
+    vertices, seeded by local search; `budget` caps the search nodes."""
+    n = g.n
+    if not 1 <= K <= n:
+        raise ParameterError(f"need 1 <= K <= n, got K={K} n={n}")
+    if K == 1:
+        return DensestResult(0, VertexSubset((0,)), EXHAUSTIVE)
+    adj = g.dense.astype(np.int64)
+    seed = local_search_densest(g, K, restarts=4, seed=0)
+    cand = np.argsort(-adj.sum(axis=1), kind="stable")  # degree desc, then label
+    best = _branch_and_bound(adj, cand, np.zeros(n, dtype=np.int64), 0, (), K,
+                             (seed.value, seed.witness.members, 0), budget)
+    return DensestResult(best[0], VertexSubset(best[1]), EXHAUSTIVE)
 
 
 # --- local search ------------------------------------------------------------

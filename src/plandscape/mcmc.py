@@ -10,6 +10,7 @@ ratios and conditional initial laws are checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import compress
@@ -209,19 +210,24 @@ class ExactGibbs:
     overlaps: np.ndarray
     log_z: float
 
-    _index: dict = field(default=None, repr=False)
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {m: i for i, m in enumerate(self.masks)}
+
+    @functools.cached_property
+    def _probs(self) -> np.ndarray:  # exp(w - log_z) drifts from 1 in sum at huge beta
+        p = np.exp(self.log_weights - self.log_weights.max())
+        return p / p.sum()
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_weights - self.log_z)
+        return self._probs.copy()
 
     def prob_of(self, mask: int) -> float:
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.masks)}
         i = self._index.get(mask)
         if i is None:
             raise ParameterError(f"mask {mask!r} is not a {self.params.kbar}-subset "
                                  f"of the {self.params.n} vertices")
-        return float(np.exp(self.log_weights[i] - self.log_z))
+        return float(self._probs[i])
 
     def overlap_marginal(self) -> np.ndarray:
         """Probability mass per overlap value, indexed 0..k."""
@@ -379,6 +385,6 @@ def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
                 j = index.get(new)
                 if j is None:  # outside the band: reflected self-loop
                     continue
-                t[i, j] += prop * min(1.0, math.exp(beta * (edges[j] - edges[i])))
+                t[i, j] += prop * math.exp(min(0.0, beta * (edges[j] - edges[i])))
         t[i, i] = 1.0 - t[i].sum() + t[i, i]
     return t, states

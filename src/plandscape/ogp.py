@@ -47,8 +47,9 @@ def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
     the default window of ModelParams(n, k, kbar) (the feasible overlaps from
     floor(kbar*k/n) up) unless a narrower window is requested.
 
-    Exhaustive entries are exact (certificates allowed); local-search entries
-    are lower bounds (evidence only)."""
+    Exhaustive entries are exact, by branch and bound under a node budget
+    per overlap (certificates allowed); local-search entries are lower bounds
+    (evidence only)."""
     p = ModelParams(g.n, g.k, kbar)
     window = default_window(p)
     z_lo = window.start if z_lo is None else max(z_lo, window.start)

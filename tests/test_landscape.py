@@ -162,6 +162,15 @@ def test_overlap_densest_budget_and_feasibility():
         densest_with_overlap(g, 28, 2)  # kbar - z > n - k
 
 
+def test_overlap_densest_cuts_branches_that_can_only_tie():
+    # every subset of a complete graph ties: only the lexicographically
+    # first one's branch is searched, not the 10 * C(25, 8) = 1e7 others
+    g = PlantedGraph(n=30, rows=BitGraph.from_edges(30, combinations(range(30), 2)).rows,
+                     planted=(3, 7, 11, 19, 23))
+    r = densest_with_overlap(g, 10, 2, budget=100)
+    assert (r.value, r.witness.members) == (45, tuple(range(10)))
+
+
 def test_densest_subgraph_trivial_sizes():
     g = sample_planted(12, 1, 9)
     assert densest_subgraph(g, 12).value == g.edge_total()
@@ -192,14 +201,16 @@ def test_densest_subgraph_node_budget():
 
 def test_densest_subgraph_budget_error_says_how_far_it_got():
     g = sample_planted(50, 1, 0)
-    with pytest.raises(BudgetError) as exc:
-        densest_subgraph(g, 10, budget=50)
-    msg = str(exc.value)
-    assert msg.startswith("branch-and-bound exceeded node budget 50: 50 nodes explored, "
-                          "best value so far "), msg
-    best = int(msg.rsplit(" ", 1)[1])
-    assert local_search_densest(g, 10, restarts=4, seed=0).value <= best
-    assert best <= densest_subgraph(g, 10).value
+    exact = (lambda **kw: densest_subgraph(g, 10, **kw),
+             lambda **kw: densest_with_overlap(g, 10, 0, **kw))
+    for solve, floor in zip(exact, (local_search_densest(g, 10, restarts=4, seed=0).value, 0)):
+        with pytest.raises(BudgetError) as exc:
+            solve(budget=50)
+        msg = str(exc.value)
+        assert msg.startswith("branch-and-bound exceeded node budget 50: 50 nodes explored, "
+                              "best value so far "), msg
+        best = int(msg.rsplit(" ", 1)[1])
+        assert floor <= best <= solve().value
 
 
 def test_overlap_densest_monotone_under_edge_addition():
@@ -259,10 +270,12 @@ def test_kbar_subsets_scan_blocks_in_lexicographic_order():
 
 
 def test_max_over_z_equals_unconstrained():
-    for seed in range(10):
-        g = sample_planted(14, 4, seed)
-        by_overlap = max(densest_with_overlap(g, 5, z).value for z in range(5))
-        assert by_overlap == densest_subgraph(g, 5).value
+    # the last two are past enumeration's reach: C(50, 10) is 1e10 subsets
+    for n, k, kbar, seeds in [(14, 4, 5, range(10)), (40, 6, 8, range(3)), (50, 7, 10, range(3))]:
+        for seed in seeds:
+            g = sample_planted(n, k, seed)
+            curve = [densest_with_overlap(g, kbar, z).value for z in feasible_overlaps(n, k, kbar)]
+            assert max(curve) == densest_subgraph(g, kbar).value, (n, k, kbar, seed)
 
 
 # The recursive generator the block enumerator replaced, kept as the oracle:
@@ -369,6 +382,32 @@ def test_densest_with_overlap_matches_recursive_reference(data, rows):
     with mock.patch.object(landscape, "_ROWS", rows):
         r = densest_with_overlap(g, kbar, z)
     assert (r.value, r.witness.members) == reference_densest_with_overlap(g, kbar, z)
+
+
+def first_max_with_overlap(g, kbar, z):
+    """The lexicographically first kbar-subset with overlap z and the most
+    edges, by a scan of every kbar-subset."""
+    best_val, best_mask = -1, None
+    for masks, edges, ov in kbar_subsets(g, kbar, math.comb(g.n, kbar)):
+        at_z = np.flatnonzero(ov == z)
+        if at_z.size and edges[at_z].max() > best_val:
+            i = at_z[np.argmax(edges[at_z])]  # first maximum of the block
+            best_val, best_mask = int(edges[i]), masks[i]
+    return best_val, mask_to_members(best_mask)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_densest_with_overlap_is_the_first_maximum_of_the_scan(data):
+    g = data.draw(enum_graphs(n_max=22))
+    n, k = g.n, g.k
+    # an edgeless graph leaves the bound nothing to prune: cap the search too
+    cases = [(kbar, z) for kbar in range(1, n + 1) if math.comb(n, kbar) <= 10**5
+             for z in feasible_overlaps(n, k, kbar)
+             if math.comb(k, z) * math.comb(n - k, kbar - z) <= 2 * 10**4]
+    kbar, z = data.draw(st.sampled_from(cases))
+    r = densest_with_overlap(g, kbar, z)
+    assert (r.value, r.witness.members) == first_max_with_overlap(g, kbar, z)
 
 
 def test_exact_paths_match_reference_past_one_word():

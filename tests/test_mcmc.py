@@ -23,7 +23,14 @@ from plandscape.mcmc import (
     transition_matrix,
     well_ratio_lower_bound,
 )
-from plandscape.model import ModelParams, VertexSubset, edge_count, rng_from_seed, sample_planted
+from plandscape.model import (
+    ModelParams,
+    VertexSubset,
+    edge_count,
+    mask_to_members,
+    rng_from_seed,
+    sample_planted,
+)
 
 DIP_SEED = 30  # sample_planted(12, 4, 30) has exact d-curve [6, 6, 6, 5, 6]
 DESK_PART = WellPartition(a0_max=0, a1_min=1, a1_max=1, a2_min=2)
@@ -515,6 +522,32 @@ def test_reflected_transition_matrix_reversible_for_conditional():
     worst = np.abs(pi[:, None] * t - (pi[:, None] * t).T).max()
     assert worst <= 1e-12
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_transition_matrix_at_a_huge_beta():
+    # beta * delta > 709 on every uphill swap: accepted with certainty, never
+    # through exp(beta * delta), which overflows
+    g = sample_planted(8, 3, 0)
+    t, states = transition_matrix(g, 3, 1000.0)
+    prop = 1.0 / (3 * 5)
+    deltas = [swap_deltas(g, VertexSubset(mask_to_members(m))) for m in states]
+    for i, row in enumerate(deltas):
+        for mask, d in row.items():
+            assert t[i, states.index(mask)] == (prop if d >= 0 else 0.0)
+    assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 40.0, 1e3, 1e17])
+def test_exact_gibbs_normalized_and_reversible_at_any_beta(beta):
+    g = sample_planted(8, 3, 0)
+    eg = exact_gibbs(g, 3, beta)
+    pi = eg.probs()
+    assert abs(math.fsum(pi.tolist()) - 1.0) <= 1e-12
+    assert abs(math.fsum(eg.prob_of(m) for m in eg.masks) - 1.0) <= 1e-12
+    t, states = transition_matrix(g, 3, beta)
+    assert states == eg.masks
+    flow = pi[:, None] * t
+    assert np.abs(flow - flow.T).max() <= 1e-12
 
 
 # --- hitting times ------------------------------------------------------------------
