@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="input graph file")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--method", default="exhaustive", choices=["exhaustive", "local"])
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=landscape.NODE_BUDGET)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--kbar", type=int, default=5)
     p.add_argument("--method", default="exhaustive", choices=["exhaustive", "local"])
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=landscape.NODE_BUDGET)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--kbar", type=int, default=5)
     p.add_argument("--method", default="exhaustive", choices=["exhaustive", "local"])
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=landscape.NODE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zeta1", type=int, default=None)
     p.add_argument("--zeta2", type=int, default=None)
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParameterError, DomainError, UndefinedCurveError, FileNotFoundError) as exc:
+    except (ParameterError, DomainError, UndefinedCurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     wall_ms = (time.perf_counter() - t0) * 1000

@@ -32,6 +32,8 @@ LOCAL_SEARCH = "LocalSearch"
 # log_binomial_tail docstring for the accuracy statement)
 _EXACT_COMB_LIMIT = 100_000
 
+NODE_BUDGET = 10**6  # default branch-and-bound node cap: about 15 s at 15 us per node
+
 
 @dataclass(frozen=True)
 class DensestResult:
@@ -205,23 +207,24 @@ def induced_edges(g: BitGraph, c: np.ndarray) -> np.ndarray:
     return _induced_edges(g.words, c, _subset_words(c, g.n))
 
 
-def kbar_subsets(g: PlantedGraph, kbar: int, budget: int):
-    """Every kbar-subset of g's vertices once, in lexicographic order, as
-    lazy blocks of (Python-int bitmasks, induced edge counts, overlaps with
-    the planted set).  BudgetError at the call, before any enumeration, when
-    C(n, kbar) exceeds budget."""
+def kbar_subsets(g: PlantedGraph, kbar: int, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every kbar-subset of g's vertices once, in lexicographic order: their
+    Python-int bitmasks and int64 arrays of their induced edge counts and
+    overlaps with the planted set, filled block by block.  BudgetError at the
+    call, before any enumeration, when C(n, kbar) exceeds budget."""
     if not 0 <= kbar <= g.n:
         raise ParameterError(f"need 0 <= kbar <= n, got kbar={kbar} n={g.n}")
     total = math.comb(g.n, kbar)
     if total > budget:
         raise BudgetError(f"C({g.n},{kbar}) = {total} exceeds budget {budget}")
     planted = np.isin(np.arange(g.n), g.planted)
-
-    def block(c):  # c's masks are packed once, for both bitmasks and edges
+    masks, edges, overlaps = [], np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    for c in subset_blocks(g.n, kbar):  # c's masks are packed once, for both bitmasks and edges
         words = _subset_words(c, g.n)
-        return _word_ints(words), _induced_edges(g.words, c, words), planted[c].sum(axis=1)
-
-    return map(block, subset_blocks(g.n, kbar))
+        edges[len(masks):len(masks) + len(c)] = _induced_edges(g.words, c, words)
+        overlaps[len(masks):len(masks) + len(c)] = planted[c].sum(axis=1)
+        masks += _word_ints(words)
+    return masks, edges, overlaps
 
 
 def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=False):
@@ -234,6 +237,8 @@ def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=Fals
     almost everything.  With `ties`, a tie goes to the lexicographically
     smaller witness, so a branch that can only tie is searched while its
     smallest completion sorts below the incumbent's."""
+    if budget < 0:
+        raise ParameterError(f"node budget must be >= 0, got {budget}")
     best_val, best_members, nodes = best
     cr2 = [r * (r - 1) // 2 for r in range(K + 1)]
     floor = 0 if ties else 1  # a branch must reach best_val + floor
@@ -278,7 +283,7 @@ def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=Fals
 
 
 def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
-                         budget: int = 10**8) -> DensestResult:
+                         budget: int = NODE_BUDGET) -> DensestResult:
     """Exact maximum edge count over kbar-subsets with overlap exactly z, by
     branch and bound over the non-planted vertices per planted z-subset (the
     incumbent carried across them; `budget` caps the call's search nodes).
@@ -294,13 +299,13 @@ def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
     return DensestResult(best[0], VertexSubset(best[1]), EXHAUSTIVE)
 
 
-def densest_subgraph(g: BitGraph, K: int, budget: int = 10**8) -> DensestResult:
+def densest_subgraph(g: BitGraph, K: int, budget: int = NODE_BUDGET) -> DensestResult:
     """Exact densest K-subgraph of any graph by branch and bound over all
     vertices, seeded by local search; `budget` caps the search nodes."""
     n = g.n
     if not 1 <= K <= n:
         raise ParameterError(f"need 1 <= K <= n, got K={K} n={n}")
-    if K == 1:
+    if K == 1 and budget >= 0:  # a negative budget fails in the kernel
         return DensestResult(0, VertexSubset((0,)), EXHAUSTIVE)
     adj = g.dense.astype(np.int64)
     seed = local_search_densest(g, K, restarts=4, seed=0)

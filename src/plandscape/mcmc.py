@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, permutations
 
 import numpy as np
 
@@ -110,6 +111,11 @@ def gibbs_log_weight(g: PlantedGraph, s: VertexSubset, beta: float,
     return beta * edge_count(g, s)
 
 
+def acceptance(beta: float, kbar: int) -> dict:
+    """min(1, exp(beta * d)) per swap delta |d| <= kbar, with no exp overflow."""
+    return {d: math.exp(min(0.0, beta * d)) for d in range(-kbar, kbar + 1)}
+
+
 def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
               max_overlap: int | None = None, stop_above: int | None = None,
               count_visits: bool = False) -> ChainTrace:
@@ -140,10 +146,7 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
     if max_overlap is not None and ov > max_overlap:
         raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")
 
-    # acceptance lookup for negative deltas; avoid exp() in the loop
-    table = {}
-    for d in range(-(kbar), 0):
-        table[d] = math.exp(cfg.beta * d)
+    table = acceptance(cfg.beta, kbar)  # avoids exp() in the loop
 
     times, overlaps_rec, edges_rec = [0], [ov], [edges]
     visits: dict | None = {} if count_visits else None
@@ -279,14 +282,8 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
     _check_beta(beta)
     if not math.isfinite(beta * math.comb(kbar, 2)):  # else weights - max is inf - inf
         raise ParameterError(f"beta * C(kbar, 2) overflows: beta={beta}, kbar={kbar}")
-    blocks = kbar_subsets(g, kbar, budget)
-    masks = []
-    weights = np.empty(math.comb(g.n, kbar))
-    overlaps = np.empty(len(weights), dtype=np.int64)
-    for block, edges, ov in blocks:
-        weights[len(masks):len(masks) + len(block)] = beta * edges
-        overlaps[len(masks):len(masks) + len(block)] = ov
-        masks += block
+    masks, edges, overlaps = kbar_subsets(g, kbar, budget)
+    weights = float(beta) * edges
     m = float(weights.max())
     log_z = m + math.log(float(np.exp(weights - m).sum()))
     return ExactGibbs(params=p, beta=beta, masks=masks,
@@ -360,31 +357,29 @@ def hitting_time(g: PlantedGraph, cfg: MCMCConfig, budget: int = 10**7) -> Chain
 
 def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
                       part: WellPartition | None = None,
-                      budget: int = 20000) -> tuple[np.ndarray, list]:
+                      budget: int = 4096) -> tuple[np.ndarray, list]:
     """Explicit Metropolis transition matrix over all kbar-subsets (desk
     scale only).  With `part`, rows outside the band are dropped and
-    band-leaving proposals become self-loops (the reflected chain)."""
-    n = g.n
-    ModelParams(n, g.k, kbar)  # validates k <= kbar <= n
-    states, edges = [], []
-    for masks, e, ov in kbar_subsets(g, kbar, budget):
-        if part is not None:  # the reflected chain keeps only band states
-            keep = ov <= part.a1_max
-            masks, e = list(compress(masks, keep)), e[keep]
-        states += masks
-        edges += e.tolist()
-    index = {m: i for i, m in enumerate(states)}
-    prop = 1.0 / (kbar * (n - kbar))
-    t = np.zeros((len(states), len(states)))
+    band-leaving proposals become self-loops (the reflected chain).  The
+    dense matrix takes 8 S^2 bytes for S states: 134 MB at the default
+    budget.  States one swap apart are those sharing a (kbar-1)-core."""
+    ModelParams(g.n, g.k, kbar)  # validates k <= kbar <= n
+    if kbar >= g.n:
+        raise ParameterError("no swap neighbors when kbar = n")
+    states, edges, ov = kbar_subsets(g, kbar, budget)
+    if part is not None:  # the reflected chain keeps only band states
+        keep = ov <= part.a1_max
+        states, edges = list(compress(states, keep)), edges[keep]
+    cores = defaultdict(list)
     for i, mask in enumerate(states):
-        ins = [v for v in range(n) if mask >> v & 1]
-        outs = [v for v in range(n) if not (mask >> v & 1)]
-        for u in ins:
-            for v in outs:
-                new = (mask ^ (1 << u)) | (1 << v)
-                j = index.get(new)
-                if j is None:  # outside the band: reflected self-loop
-                    continue
-                t[i, j] += prop * math.exp(min(0.0, beta * (edges[j] - edges[i])))
-        t[i, i] = 1.0 - t[i].sum() + t[i, i]
+        for u in mask_to_members(mask):
+            cores[mask ^ 1 << u].append(i)
+    prop = 1.0 / (kbar * (g.n - kbar))
+    acc = acceptance(beta, kbar)
+    e = edges.tolist()
+    t = np.zeros((len(states), len(states)))
+    for group in cores.values():
+        for i, j in permutations(group, 2):
+            t[i, j] = prop * acc[e[j] - e[i]]
+    t[np.diag_indices_from(t)] = 1.0 - t.sum(axis=1)  # rejected and band-leaving mass
     return t, states

@@ -41,7 +41,7 @@ class OGPCertificate:
 
 
 def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
-                  budget: int = 10**8, restarts: int = 20, seed: int = 0,
+                  budget: int = landscape.NODE_BUDGET, restarts: int = 20, seed: int = 0,
                   z_lo: int | None = None, z_hi: int | None = None) -> OverlapCurve:
     """Per-instance curve z -> best edge count at overlap exactly z, over
     the default window of ModelParams(n, k, kbar) (the feasible overlaps from
@@ -127,7 +127,7 @@ def certify_ogp(g: PlantedGraph, kbar: int, curve: OverlapCurve,
                           reason="no dense subset on one side of the band")
 
 
-def auto_certify(g: PlantedGraph, kbar: int, budget: int = 10**8) -> OGPCertificate:
+def auto_certify(g: PlantedGraph, kbar: int, budget: int = landscape.NODE_BUDGET) -> OGPCertificate:
     """Search for a holding certificate on the exact curve.
 
     From the deepest dip z*, a provisional level halfway between the dip and

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -11,8 +12,10 @@ import warnings
 import pytest
 
 import plandscape
-from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, main
-from plandscape.model import load_graph
+from plandscape import landscape, ogp
+from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, build_parser, main
+from plandscape.errors import ParameterError
+from plandscape.model import load_graph, sample_planted
 from plandscape.ogp import dip_witness, overlap_curve
 
 
@@ -252,6 +255,11 @@ CONTRACT = [
     ("dense --graph {g} --K 5 --method local --restarts -1 --out d.json", EXIT_USAGE),
     ("dense --graph missing.pcg --K 5 --out d.json", EXIT_USAGE),
     ("dense --graph {g} --K 9 --budget 5 --out d.json", EXIT_BUDGET),
+    ("dense --graph {g} --K 5 --budget -1 --out d.json", EXIT_USAGE),
+    ("d-curve --graph {g} --kbar 5 --budget -1 --out d.csv", EXIT_USAGE),
+    ("ogp --graph {g} --kbar 5 --budget -1 --out o.json", EXIT_USAGE),
+    ("dense --graph . --K 5 --out d.json", EXIT_USAGE),
+    ("dense --graph {g} --K 5 --out .", EXIT_USAGE),
     ("hit --graph {g} --kbar 5 --beta nan --t-max 100 --out h.json", EXIT_USAGE),
     ("hit --graph {g} --kbar 5 --beta inf --t-max 100 --out h.json", EXIT_USAGE),
     ("classify --n 1000 --k 20 --kbar 40 --empirical --c0 nan", EXIT_USAGE),
@@ -283,6 +291,22 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
         return
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
+
+
+def test_one_node_budget_default():
+    assert landscape.NODE_BUDGET == 10**6
+    for f in (landscape.densest_with_overlap, landscape.densest_subgraph,
+              ogp.overlap_curve, ogp.auto_certify):
+        assert inspect.signature(f).parameters["budget"].default == 10**6, f.__name__
+    parser = build_parser()
+    for argv in ("dense --K 5 --out d.json", "d-curve --graph g --out d.csv",
+                 "ogp --graph g --out o.json"):
+        assert parser.parse_args(argv.split()).budget == 10**6, argv
+    # the kernel rejects a negative budget, even at K = 1 where it is otherwise skipped
+    with pytest.raises(ParameterError, match="^node budget must be >= 0, got -1$"):
+        landscape.densest_subgraph(sample_planted(8, 2, 0), 1, budget=-1)
+    with pytest.raises(ParameterError, match="^node budget must be >= 0, got -1$"):
+        landscape.densest_with_overlap(sample_planted(8, 2, 0), 3, 1, budget=-1)
 
 
 @pytest.mark.parametrize("argv", [

@@ -251,16 +251,13 @@ def test_induced_edges_counts_rows_in_any_order():
 
 def test_kbar_subsets_scan_blocks_in_lexicographic_order():
     g = sample_planted(9, 3, 4)
-    masks, edges, overlaps = [], [], []
-    with mock.patch.object(landscape, "_ROWS", 10):
-        for m, e, z in kbar_subsets(g, 4, budget=126):
-            masks += m
-            edges += e.tolist()
-            overlaps += z.tolist()
+    with mock.patch.object(landscape, "_ROWS", 10):  # 126 subsets over 13 blocks
+        masks, edges, overlaps = kbar_subsets(g, 4, budget=126)
+    assert edges.dtype == overlaps.dtype == np.int64
     subsets = [VertexSubset(c) for c in combinations(range(9), 4)]
     assert masks == [s.mask for s in subsets]
-    assert edges == [edge_count(g, s) for s in subsets]
-    assert overlaps == [overlap(g, s) for s in subsets]
+    assert edges.tolist() == [edge_count(g, s) for s in subsets]
+    assert overlaps.tolist() == [overlap(g, s) for s in subsets]
     with pytest.raises(BudgetError, match=r"C\(9,4\) = 126 exceeds budget 125"):
         kbar_subsets(g, 4, budget=125)  # at the call, not at the first block
     wide = sample_planted(20, 5, 0)
@@ -387,13 +384,10 @@ def test_densest_with_overlap_matches_recursive_reference(data, rows):
 def first_max_with_overlap(g, kbar, z):
     """The lexicographically first kbar-subset with overlap z and the most
     edges, by a scan of every kbar-subset."""
-    best_val, best_mask = -1, None
-    for masks, edges, ov in kbar_subsets(g, kbar, math.comb(g.n, kbar)):
-        at_z = np.flatnonzero(ov == z)
-        if at_z.size and edges[at_z].max() > best_val:
-            i = at_z[np.argmax(edges[at_z])]  # first maximum of the block
-            best_val, best_mask = int(edges[i]), masks[i]
-    return best_val, mask_to_members(best_mask)
+    masks, edges, ov = kbar_subsets(g, kbar, math.comb(g.n, kbar))
+    at_z = np.flatnonzero(ov == z)
+    i = at_z[np.argmax(edges[at_z])]  # the first maximum
+    return int(edges[i]), mask_to_members(masks[i])
 
 
 @settings(max_examples=150)

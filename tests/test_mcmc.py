@@ -3,12 +3,14 @@ import json
 import math
 import statistics
 from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from plandscape.errors import BudgetError, ParameterError
-from plandscape.landscape import densest_with_overlap
+from plandscape.landscape import densest_with_overlap, kbar_subsets
 from plandscape.mcmc import (
     ChainTrace,
     ExactGibbs,
@@ -31,6 +33,7 @@ from plandscape.model import (
     rng_from_seed,
     sample_planted,
 )
+from test_landscape import enum_graphs
 
 DIP_SEED = 30  # sample_planted(12, 4, 30) has exact d-curve [6, 6, 6, 5, 6]
 DESK_PART = WellPartition(a0_max=0, a1_min=1, a1_max=1, a2_min=2)
@@ -535,6 +538,56 @@ def test_transition_matrix_at_a_huge_beta():
         for mask, d in row.items():
             assert t[i, states.index(mask)] == (prop if d >= 0 else 0.0)
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+
+
+def per_swap_transition_matrix(g, kbar, beta, part=None):
+    """The Metropolis matrix by trying every (u out, v in) swap of every
+    state against an index of the states, with its own acceptance rule."""
+    states, edges, ov = kbar_subsets(g, kbar, math.comb(g.n, kbar))
+    if part is not None:
+        keep = ov <= part.a1_max
+        states, edges = list(compress(states, keep)), edges[keep]
+    edges = edges.tolist()
+    index = {m: i for i, m in enumerate(states)}
+    prop = 1.0 / (kbar * (g.n - kbar))
+    t = np.zeros((len(states), len(states)))
+    for i, mask in enumerate(states):
+        ins = [v for v in range(g.n) if mask >> v & 1]
+        outs = [v for v in range(g.n) if not (mask >> v & 1)]
+        for u in ins:
+            for v in outs:
+                j = index.get((mask ^ (1 << u)) | (1 << v))
+                if j is None:  # outside the band: reflected self-loop
+                    continue
+                t[i, j] += prop * math.exp(min(0.0, beta * (edges[j] - edges[i])))
+        t[i, i] = 1.0 - t[i].sum() + t[i, i]
+    return t, states
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from([0.0, 0.7, 2.5, 1e3, 1e300]))
+def test_transition_matrix_matches_per_swap_oracle(data, beta):
+    g = data.draw(enum_graphs())
+    sizes = [kb for kb in range(g.k, g.n) if math.comb(g.n, kb) <= 300]
+    assume(sizes)
+    kbar = data.draw(st.sampled_from(sizes))
+    roof = data.draw(st.one_of(st.none(), st.integers(0, g.k)))
+    part = None if roof is None else WellPartition(0, 0, roof, roof + 1)
+    t, states = transition_matrix(g, kbar, beta, part=part)
+    want, want_states = per_swap_transition_matrix(g, kbar, beta, part)
+    assert states == want_states
+    assert t.tobytes() == want.tobytes()
+
+
+def test_transition_matrix_limits():
+    with pytest.raises(ParameterError, match="^no swap neighbors when kbar = n$"):
+        transition_matrix(sample_planted(5, 2, 0), 5, 1.0)
+    # the dense matrix takes 8 S^2 bytes: 4096 states (134 MB) by default
+    g = sample_planted(16, 3, 0)
+    with pytest.raises(BudgetError, match=r"^C\(16,5\) = 4368 exceeds budget 4096$"):
+        transition_matrix(g, 5, 1.0)
+    t, states = transition_matrix(g, 3, 1.0, budget=560)
+    assert t.shape == (560, 560) and len(states) == 560
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 40.0, 1e3, 1e17])
