@@ -60,6 +60,14 @@ def _write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_outputs(paths):
+    """Raise OSError before anything is written when an output path is a
+    directory or lies in a missing one, so no partial set is left behind."""
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path}: a directory, or in a missing one")
+
+
 def _manifest(args, outputs, wall_ms):
     params = {k: v for k, v in vars(args).items() if k != "func"}
     entries = []
@@ -128,6 +136,8 @@ def _cmd_phase(args):
 
 
 def _cmd_dense(args):
+    if args.budget < 0:  # only the exhaustive method reads it
+        raise ParameterError(f"node budget must be >= 0, got {args.budget}")
     if args.predict:
         if args.n is None:
             raise ParameterError("dense --predict needs --n")
@@ -213,6 +223,8 @@ def _uniform_init(g, args):
 
 
 def _cmd_hit(args):
+    outputs = [path for path in (args.out, args.trace_out) if path]
+    _check_outputs(outputs)
     g = load_graph(args.graph)
     cfg = _chain_config(args)
     trace = mcmc.hitting_time(g, cfg)
@@ -226,11 +238,9 @@ def _cmd_hit(args):
         "beta_meets_scale": args.beta >= threshold,
     }
     _write_json(args.out, payload)
-    outputs = [args.out]
     if args.trace_out:
         _write_csv(args.trace_out, "t,overlap,edges",
                    list(zip(trace.times, trace.overlaps, trace.edges)))
-        outputs.append(args.trace_out)
     return outputs
 
 

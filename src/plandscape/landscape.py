@@ -133,61 +133,6 @@ def log_expected_dense_count(p: ModelParams, z: int, gamma: float) -> float:
 
 # --- exact enumeration ------------------------------------------------------
 
-# Rows per enumerator block.  Blocks bound the working set: exact_gibbs on
-# C(20, 8) raises peak RSS by 39 MB in one block, 11.0 MB in blocks of 8192
-# rows, 9.7 MB of 4096 and 9.1 MB of 2048 (8.9 MB with the recursive
-# generator it replaced), at the same speed from 1024 to 8192 rows.
-_ROWS = 2048
-
-
-def _lex_table(m: int, size: int) -> np.ndarray:
-    """All size-subsets of range(m) in lexicographic order, one per row."""
-    c = np.zeros((1, 0), dtype=np.intp)
-    for j in range(size):
-        first = c[:, -1] + 1 if j else np.zeros(1, dtype=np.intp)
-        cnt = m - size + j + 1 - first  # choices for column j: first .. m-size+j
-        start = np.cumsum(cnt) - cnt
-        col = np.arange(cnt.sum()) - np.repeat(start - first, cnt)
-        c = np.concatenate([np.repeat(c, cnt, axis=0), col[:, None]], axis=1)
-    return c
-
-
-def subset_blocks(n: int, k: int):
-    """Yield every k-subset of range(n) once, in lexicographic order (the
-    order of itertools.combinations), as intp arrays of sorted members with
-    at most _ROWS rows each.  k = 0 gives one empty subset.
-
-    A prefix whose completions fit in a block is finished from one table per
-    remaining size: the size-subsets of range(lo, n) are the last
-    C(n - lo, size) rows of the largest table of size-subsets of a suffix of
-    range(n) that fits in a block."""
-    if not 0 <= k <= n:
-        raise ParameterError(f"need 0 <= k <= n, got k={k} n={n}")
-    rows = _ROWS
-    tails = {}
-    stack = [((), 0, k)]  # (prefix, lo, size), popped in lexicographic order
-    buf, held = [], 0
-    while stack:
-        prefix, lo, size = stack.pop()
-        count = math.comb(n - lo, size)
-        if count > rows:
-            stack.extend(((*prefix, a), a + 1, size - 1) for a in range(n - size, lo - 1, -1))
-            continue
-        if size not in tails:
-            top = size
-            while top < n and math.comb(top + 1, size) <= rows:
-                top += 1
-            tails[size] = _lex_table(top, size) + (n - top)
-        piece = tails[size][-count:]
-        if prefix:
-            piece = np.concatenate([np.tile(np.array(prefix, dtype=np.intp), (count, 1)), piece], axis=1)
-        if held + count > rows:
-            yield np.concatenate(buf)
-            buf, held = [], 0
-        buf.append(piece)
-        held += count
-    yield np.concatenate(buf)
-
 
 def _subset_words(c: np.ndarray, n: int) -> np.ndarray:
     """Bitmasks of the rows of c (distinct vertices of range(n)) as uint64
@@ -195,36 +140,52 @@ def _subset_words(c: np.ndarray, n: int) -> np.ndarray:
     return _pack_words(np.eye(n, dtype=bool))[c].sum(axis=1)
 
 
-def _induced_edges(row_words: np.ndarray, c: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """induced_edges on packed operands: the graph's adjacency rows and the
-    masks of c's rows, both as uint64 words."""
-    return np.bitwise_count(row_words[c] & words[:, None, :]).sum(axis=(1, 2), dtype=np.int64) // 2
-
-
 def induced_edges(g: BitGraph, c: np.ndarray) -> np.ndarray:
     """Edges of g induced by each row of c, a matrix of distinct vertices
     per row in any order, as int64: the one batch subset-edge counter."""
-    return _induced_edges(g.words, c, _subset_words(c, g.n))
+    words = _subset_words(c, g.n)
+    return np.bitwise_count(g.words[c] & words[:, None, :]).sum(axis=(1, 2), dtype=np.int64) // 2
 
 
 def kbar_subsets(g: PlantedGraph, kbar: int, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Every kbar-subset of g's vertices once, in lexicographic order: their
     Python-int bitmasks and int64 arrays of their induced edge counts and
-    overlaps with the planted set, filled block by block.  BudgetError at the
-    call, before any enumeration, when C(n, kbar) exceeds budget."""
-    if not 0 <= kbar <= g.n:
-        raise ParameterError(f"need 0 <= kbar <= n, got kbar={kbar} n={g.n}")
-    total = math.comb(g.n, kbar)
+    overlaps with the planted set.  BudgetError at the call, before any
+    enumeration, when C(n, kbar) exceeds budget.
+
+    Built level by level: level s holds the s-subsets of range(kbar - s, n)
+    in lexicographic order, and those of range(a + 1, n) are its last
+    C(n - a - 1, s) rows.  So level s + 1 puts each first member a before
+    that tail, and a new row's edge count is its tail's plus a's edges into
+    the tail.  Overlaps are counted once, on the last level's masks."""
+    n = g.n
+    if not 0 <= kbar <= n:
+        raise ParameterError(f"need 0 <= kbar <= n, got kbar={kbar} n={n}")
+    if budget < 0:
+        raise ParameterError(f"subset budget must be >= 0, got {budget}")
+    total = math.comb(n, kbar)
     if total > budget:
-        raise BudgetError(f"C({g.n},{kbar}) = {total} exceeds budget {budget}")
-    planted = np.isin(np.arange(g.n), g.planted)
-    masks, edges, overlaps = [], np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
-    for c in subset_blocks(g.n, kbar):  # c's masks are packed once, for both bitmasks and edges
-        words = _subset_words(c, g.n)
-        edges[len(masks):len(masks) + len(c)] = _induced_edges(g.words, c, words)
-        overlaps[len(masks):len(masks) + len(c)] = planted[c].sum(axis=1)
-        masks += _word_ints(words)
-    return masks, edges, overlaps
+        raise BudgetError(f"C({n},{kbar}) = {total} exceeds budget {budget}")
+    adj, onehot = g.words, _pack_words(np.eye(n, dtype=bool))
+    words = np.zeros((1, onehot.shape[1]), dtype=np.uint64)
+    edges = np.zeros(1, dtype=np.int64)
+    for s in range(kbar):
+        size = math.comb(n - kbar + s + 1, s + 1)
+        up_words = np.empty((size, words.shape[1]), dtype=np.uint64)
+        added = np.empty((size, words.shape[1]), dtype=np.uint8)
+        up_edges = np.empty(size, dtype=np.int64)
+        at = 0
+        for a in range(kbar - s - 1, n - s):
+            m = math.comb(n - a - 1, s)  # the s-subsets of range(a + 1, n)
+            row, tail = slice(at, at + m), words[-m:]
+            np.bitwise_or(tail, onehot[a], out=up_words[row])
+            np.bitwise_count(tail & adj[a], out=added[row])
+            up_edges[row] = edges[-m:]
+            at += m
+        up_edges += added.sum(axis=1, dtype=np.int64)  # one reduction per level, not per a
+        words, edges = up_words, up_edges
+    planted = _subset_words(np.array([g.planted], dtype=np.intp), n)
+    return _word_ints(words), edges, np.bitwise_count(words & planted).sum(axis=1, dtype=np.int64)
 
 
 def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=False):

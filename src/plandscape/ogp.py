@@ -60,6 +60,8 @@ def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
         raise ParameterError(f"method must be 'exhaustive' or 'local', got {method!r}")
     if method == "local" and seed < 0:  # each z searches on seed ^ z
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if budget < 0:  # the local method never reads it
+        raise ParameterError(f"node budget must be >= 0, got {budget}")
     results = {}
     for z in range(z_lo, z_hi + 1):
         if method == "exhaustive":

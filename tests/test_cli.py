@@ -186,6 +186,21 @@ def test_hit_json_and_few(tmp_path):
     assert few["ln_ratio"] is not None
 
 
+@pytest.mark.parametrize("bad", ["out", "trace", "missing"])
+def test_hit_checks_both_outputs_before_writing(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--out", "g.pcg"]) == 0
+    (tmp_path / "adir").mkdir()
+    out, trace = {"out": ("adir", "tr.csv"), "trace": ("h.json", "adir"),
+                  "missing": ("h.json", "nodir/tr.csv")}[bad]
+    capsys.readouterr()
+    assert main(["hit", "--graph", "g.pcg", "--beta", "1", "--t-max", "10",
+                 "--out", out, "--trace-out", trace]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "g.pcg", "g.pcg.manifest.json"]
+
+
 def test_phase_csv(tmp_path):
     out = tmp_path / "ph.csv"
     rc = main(["phase", "--n", "1000000", "--k-grid", "100,2000",
@@ -275,6 +290,11 @@ CONTRACT = [
     ("hit --graph {g} --beta 1e308 --t-max 10 --out h.json", EXIT_USAGE),
     ("few --graph {g} --beta 1e308 --out f.json", EXIT_USAGE),
     ("mcmc --graph {g} --init conditional --beta 1e308 --t-max 10 --out tr.csv", EXIT_USAGE),
+    ("few --graph {g} --beta 1.0 --budget -1 --out f.json", EXIT_USAGE),
+    ("dense --graph {g} --K 5 --method local --budget -1 --out d.json", EXIT_USAGE),
+    ("dense --predict --n 50 --K 10 --budget -1 --out d.json", EXIT_USAGE),
+    ("d-curve --graph {g} --kbar 5 --method local --budget -1 --out d.csv", EXIT_USAGE),
+    ("ogp --graph {g} --kbar 5 --method local --budget -1 --out o.json", EXIT_USAGE),
 ]
 
 

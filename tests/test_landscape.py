@@ -1,6 +1,5 @@
 import math
-from itertools import combinations, islice
-from unittest import mock
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from plandscape.landscape import (
     local_search_densest,
     log_binomial_tail,
     log_expected_dense_count,
-    subset_blocks,
 )
 from plandscape.mcmc import MCMCConfig, WellPartition, exact_gibbs, run_chain, transition_matrix
 from plandscape.model import (
@@ -251,15 +249,19 @@ def test_induced_edges_counts_rows_in_any_order():
 
 def test_kbar_subsets_scan_blocks_in_lexicographic_order():
     g = sample_planted(9, 3, 4)
-    with mock.patch.object(landscape, "_ROWS", 10):  # 126 subsets over 13 blocks
-        masks, edges, overlaps = kbar_subsets(g, 4, budget=126)
+    masks, edges, overlaps = kbar_subsets(g, 4, budget=126)
     assert edges.dtype == overlaps.dtype == np.int64
     subsets = [VertexSubset(c) for c in combinations(range(9), 4)]
     assert masks == [s.mask for s in subsets]
     assert edges.tolist() == [edge_count(g, s) for s in subsets]
     assert overlaps.tolist() == [overlap(g, s) for s in subsets]
     with pytest.raises(BudgetError, match=r"C\(9,4\) = 126 exceeds budget 125"):
-        kbar_subsets(g, 4, budget=125)  # at the call, not at the first block
+        kbar_subsets(g, 4, budget=125)  # at the call, before any enumeration
+    huge = sample_planted(60, 4, 0)  # a negative budget is bad input, not an exceeded one
+    for f in (lambda: kbar_subsets(huge, 30, -1), lambda: exact_gibbs(huge, 30, 1.0, budget=-1),
+              lambda: transition_matrix(huge, 30, 1.0, budget=-1)):
+        with pytest.raises(ParameterError, match=r"^subset budget must be >= 0, got -1$"):
+            f()
     wide = sample_planted(20, 5, 0)
     for kbar in (-1, 25):  # comb raises at -1 and is 0, within budget, at 25
         with pytest.raises(ParameterError, match=rf"^need 0 <= kbar <= n, got kbar={kbar} n=20$"):
@@ -275,7 +277,7 @@ def test_max_over_z_equals_unconstrained():
             assert max(curve) == densest_subgraph(g, kbar).value, (n, k, kbar, seed)
 
 
-# The recursive generator the block enumerator replaced, kept as the oracle:
+# A recursive generator, kept as the oracle of the exact paths:
 # it yields (mask, edge count) over the size-subsets of pool[start:] in
 # lexicographic order, updating the count one vertex at a time.
 def enum_counts_reference(rows, pool, size, start, mask, count):
@@ -310,31 +312,6 @@ def reference_densest_with_overlap(g, kbar, z):
     return best_val, best_members
 
 
-@settings(max_examples=300)
-@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-       st.one_of(st.integers(1, 40), st.just(landscape._ROWS)))
-def test_subset_blocks_match_combinations(nk, rows):
-    n, k = nk
-    limit = 600  # compare a prefix when C(n, k) is out of reach
-    got = []
-    with mock.patch.object(landscape, "_ROWS", rows):
-        for block in subset_blocks(n, k):
-            assert block.dtype == np.intp and block.shape[1] == k and 1 <= len(block) <= rows
-            got += map(tuple, block.tolist())
-            if len(got) >= limit:
-                break
-    assert got == list(islice(combinations(range(n), k), len(got)))
-    assert len(got) >= limit or len(got) == math.comb(n, k)
-
-
-def test_subset_blocks_default_rows_cover_large_enumeration():
-    blocks = list(subset_blocks(20, 8))
-    assert len(blocks) > 1 and max(len(b) for b in blocks) <= landscape._ROWS
-    assert list(map(tuple, np.concatenate(blocks).tolist())) == list(combinations(range(20), 8))
-    with pytest.raises(ParameterError):
-        next(subset_blocks(5, 6))
-
-
 @st.composite
 def enum_graphs(draw, n_max=70):
     """A graph on up to 70 vertices (masks cross one 64-bit word) of any
@@ -349,35 +326,53 @@ def enum_graphs(draw, n_max=70):
     return PlantedGraph(n=n, rows=base.rows, planted=planted)
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_kbar_subsets_match_combinations(data):
+    g = data.draw(enum_graphs())
+    n = g.n
+    kbar = data.draw(st.one_of(st.integers(0, n), st.integers(0, min(n, 3)), st.integers(max(0, n - 3), n)))
+    total = math.comb(n, kbar)
+    budget = data.draw(st.sampled_from([total - 1, total])) if total <= 3000 else 3000
+    if budget < total:
+        with pytest.raises(BudgetError, match=rf"^C\({n},{kbar}\) = {total} exceeds budget {budget}$"):
+            kbar_subsets(g, kbar, budget)
+        return
+    masks, edges, overlaps = kbar_subsets(g, kbar, budget)
+    subsets = [VertexSubset(c) for c in combinations(range(n), kbar)]
+    assert masks == [s.mask for s in subsets] and all(type(m) is int for m in masks)
+    assert edges.dtype == overlaps.dtype == np.int64
+    assert edges.tolist() == [edge_count(g, s) for s in subsets]
+    assert overlaps.tolist() == [overlap(g, s) for s in subsets]
+
+
 @settings(max_examples=200)
-@given(st.data(), st.sampled_from([0.0, 0.7, 2.5]), st.sampled_from([1, 7, landscape._ROWS]))
-def test_exact_gibbs_and_states_match_recursive_reference(data, beta, rows):
+@given(st.data(), st.sampled_from([0.0, 0.7, 2.5]))
+def test_exact_gibbs_and_states_match_recursive_reference(data, beta):
     g = data.draw(enum_graphs())
     kbar = data.draw(st.sampled_from([kb for kb in range(g.k, g.n + 1) if math.comb(g.n, kb) <= 3000]))
     masks, weights, overlaps, log_z = reference_exact_gibbs(g, kbar, beta)
-    with mock.patch.object(landscape, "_ROWS", rows):
-        eg = exact_gibbs(g, kbar, beta)
-        assert eg.masks == masks and all(type(m) is int for m in eg.masks)
-        assert eg.log_weights.tobytes() == weights.tobytes()
-        assert eg.overlaps.tobytes() == overlaps.tobytes()
-        assert eg.log_z == log_z
-        if kbar < g.n and len(masks) <= 300:
-            roof = data.draw(st.one_of(st.none(), st.integers(0, g.k)))
-            part = None if roof is None else WellPartition(0, 0, roof, roof + 1)
-            _, states = transition_matrix(g, kbar, beta, part=part)
-            assert states == [m for m, z in zip(masks, overlaps) if roof is None or z <= roof]
+    eg = exact_gibbs(g, kbar, beta)
+    assert eg.masks == masks and all(type(m) is int for m in eg.masks)
+    assert eg.log_weights.tobytes() == weights.tobytes()
+    assert eg.overlaps.tobytes() == overlaps.tobytes()
+    assert eg.log_z == log_z
+    if kbar < g.n and len(masks) <= 300:
+        roof = data.draw(st.one_of(st.none(), st.integers(0, g.k)))
+        part = None if roof is None else WellPartition(0, 0, roof, roof + 1)
+        _, states = transition_matrix(g, kbar, beta, part=part)
+        assert states == [m for m, z in zip(masks, overlaps) if roof is None or z <= roof]
 
 
 @settings(max_examples=200)
-@given(st.data(), st.sampled_from([1, 5, landscape._ROWS]))
-def test_densest_with_overlap_matches_recursive_reference(data, rows):
+@given(st.data())
+def test_densest_with_overlap_matches_recursive_reference(data):
     g = data.draw(enum_graphs())
     n, k = g.n, g.k
     cases = [(kbar, z) for kbar in range(1, n + 1) for z in feasible_overlaps(n, k, kbar)
              if math.comb(k, z) * math.comb(n - k, kbar - z) <= 1000]
     kbar, z = data.draw(st.sampled_from(cases))
-    with mock.patch.object(landscape, "_ROWS", rows):
-        r = densest_with_overlap(g, kbar, z)
+    r = densest_with_overlap(g, kbar, z)
     assert (r.value, r.witness.members) == reference_densest_with_overlap(g, kbar, z)
 
 

@@ -380,12 +380,12 @@ def test_exact_gibbs_and_transition_matrix_check_the_budget_before_allocating():
 
 
 def test_exact_gibbs_rejects_kbar_below_k_before_enumerating(monkeypatch):
-    import plandscape.landscape as landscape
+    import plandscape.mcmc as mcmc
 
-    def enumerate_nothing(n, kbar):
-        raise AssertionError(f"enumerated C({n},{kbar}) before checking the parameters")
+    def enumerate_nothing(g, kbar, budget):
+        raise AssertionError(f"enumerated C({g.n},{kbar}) before checking the parameters")
 
-    monkeypatch.setattr(landscape, "subset_blocks", enumerate_nothing)
+    monkeypatch.setattr(mcmc, "kbar_subsets", enumerate_nothing)
     with pytest.raises(ParameterError, match="k=12 kbar=11"):
         exact_gibbs(sample_planted(22, 12, 0), 11, 1.0)
 
