@@ -1,7 +1,9 @@
 """Command-line front end: one subcommand per module, seeded and
-reproducible.  Every file-producing run also writes `<out>.manifest.json`
-recording the full parameter set, tool version, wall time and sha256 of each
-output, so any run can be reproduced bit-for-bit from its manifest.
+reproducible.  Subcommands write no files: each returns {path: output}, and
+`main` checks every output path before the subcommand runs, then writes the
+outputs and `<out>.manifest.json` recording the full parameter set, tool
+version, wall time and sha256 of each output, so any run can be reproduced
+bit-for-bit from its manifest.  Bad input leaves no file behind.
 
 Exit codes: 0 success (ogp: certificate holds), 2 usage error, 3 ogp
 refuted, 4 ogp not certifiable (heuristic curve), 5 budget exceeded (search
@@ -30,69 +32,59 @@ EXIT_NOT_CERTIFIABLE = 4
 EXIT_BUDGET = 5
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _json(payload) -> str:
+    return json.dumps({"schema": "v1", **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _csv(header, rows) -> str:
+    cells = (",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row)
+             for row in rows)
+    return "\n".join(["# schema: v1", header, *cells]) + "\n"
 
 
-def _write_json(path, payload):
-    payload = {"schema": "v1", **_jsonable(payload)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    lines = ["# schema: v1", header]
-    lines += [",".join(_fmt(c) for c in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _check_outputs(paths):
-    """Raise OSError before anything is written when an output path is a
-    directory or lies in a missing one, so no partial set is left behind."""
-    for path in paths:
+def _check_outputs(args) -> None:
+    """Every path the run will write, checked before any work: a directory,
+    a path in a missing directory or a path named twice raises OSError."""
+    paths = [p for p in (args.out, getattr(args, "trace_out", None)) if p]
+    paths += [f"{args.out}.manifest.json"] if args.out else []
+    for i, path in enumerate(paths):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write {path}: a directory, or in a missing one")
+        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+            raise OSError(f"cannot write {path}: named twice")
 
 
-def _manifest(args, outputs, wall_ms):
-    params = {k: v for k, v in vars(args).items() if k != "func"}
+def _write(args, files, t0) -> None:
+    """Write each output (a graph through save_graph, text as is), then the
+    manifest with each file's sha256 and size as read back from disk."""
     entries = []
-    for path in outputs:
+    for path, out in files.items():
+        if isinstance(out, str):
+            with open(path, "w") as fh:
+                fh.write(out)
+        else:
+            save_graph(out, path)
         with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        entries.append({"path": str(path), "sha256": digest,
-                        "bytes": os.path.getsize(path)})
-    _write_json(f"{outputs[0]}.manifest.json", {
+            data = fh.read()
+        entries.append({"path": path, "sha256": hashlib.sha256(data).hexdigest(),
+                        "bytes": len(data)})
+    manifest = _json({
         "tool": "plandscape",
         "version": __version__,
         "subcommand": args.cmd,
-        "params": params,
-        "wall_ms": round(wall_ms, 3),
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
+        "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
         "outputs": entries,
     })
+    with open(f"{args.out}.manifest.json", "w") as fh:
+        fh.write(manifest)
 
 
 # --- subcommand bodies -------------------------------------------------------
 
 
 def _cmd_sample(args):
-    g = sample_planted(args.n, args.k, args.seed)
-    save_graph(g, args.out)
-    return [args.out]
+    return {args.out: sample_planted(args.n, args.k, args.seed)}
 
 
 def _cmd_curve(args):
@@ -100,8 +92,7 @@ def _cmd_curve(args):
     curve = numerics.curve_grid(p, args.kind, z_lo=args.z_lo, z_hi=args.z_hi)
     rows = [(z, v, curve.kind, args.n, args.k, args.kbar)
             for z, v in enumerate(curve.values, curve.z_lo)]
-    _write_csv(args.out, "z,value,kind,n,k,kbar", rows)
-    return [args.out]
+    return {args.out: _csv("z,value,kind,n,k,kbar", rows)}
 
 
 def _cmd_classify(args):
@@ -114,14 +105,13 @@ def _cmd_classify(args):
     else:
         res = numerics.classify_params(p, margin=args.margin)
     print(res.label)
-    if args.out:
-        _write_json(args.out, {
-            "n": args.n, "k": args.k, "kbar": args.kbar, "label": res.label,
-            "u1": res.u1, "u2": res.u2, "u1_scaled": res.u1_scaled,
-            "u2_scaled": res.u2_scaled, "depth": res.depth,
-        })
-        return [args.out]
-    return []
+    if not args.out:
+        return {}
+    return {args.out: _json({
+        "n": args.n, "k": args.k, "kbar": args.kbar, "label": res.label,
+        "u1": res.u1, "u2": res.u2, "u1_scaled": res.u1_scaled,
+        "u2_scaled": res.u2_scaled, "depth": res.depth,
+    })}
 
 
 def _cmd_phase(args):
@@ -131,8 +121,7 @@ def _cmd_phase(args):
     except ValueError:
         raise ParameterError("--k-grid and --kbar-grid take comma-separated integers") from None
     table = numerics.phase_diagram(args.n, k_grid, kbar_grid, margin=args.margin)
-    _write_csv(args.out, "k,kbar,label", table)
-    return [args.out]
+    return {args.out: _csv("k,kbar,label", table)}
 
 
 def _cmd_dense(args):
@@ -142,10 +131,9 @@ def _cmd_dense(args):
         if args.n is None:
             raise ParameterError("dense --predict needs --n")
         pred = landscape.densest_prediction(args.n, args.K)
-        _write_json(args.out, {"n": pred.n, "K": pred.K,
-                               "first_order": pred.first_order,
-                               "second_order": pred.second_order})
-        return [args.out]
+        return {args.out: _json({"n": pred.n, "K": pred.K,
+                                 "first_order": pred.first_order,
+                                 "second_order": pred.second_order})}
     if args.graph is None:
         raise ParameterError("dense needs --graph (or --predict)")
     g = load_graph(args.graph)
@@ -154,12 +142,11 @@ def _cmd_dense(args):
     else:
         res = landscape.local_search_densest(g, args.K, restarts=args.restarts,
                                              seed=args.seed)
-    _write_json(args.out, {
+    return {args.out: _json({
         "K": args.K, "value": res.value, "method": res.method,
         "witness": "-".join(str(v) for v in res.witness.members),
         "restarts_used": res.restarts_used,
-    })
-    return [args.out]
+    })}
 
 
 def _cmd_d_curve(args):
@@ -170,8 +157,7 @@ def _cmd_d_curve(args):
     rows = [(z, int(v), curve.results[z].method,
              "-".join(str(u) for u in curve.results[z].witness.members))
             for z, v in enumerate(curve.values, curve.z_lo)]
-    _write_csv(args.out, "z,value,method,witness", rows)
-    return [args.out]
+    return {args.out: _csv("z,value,method,witness", rows)}
 
 
 def _cmd_flatness(args):
@@ -187,14 +173,13 @@ def _cmd_flatness(args):
                                samples=count, seed=args.seed)
     else:
         raise ParameterError(f"mode must be exhaustive or sampled:<count>, got {args.mode!r}")
-    _write_json(args.out, {
+    return {args.out: _json({
         "K": rep.K, "gamma": rep.gamma, "delta": rep.delta,
         "is_flat": rep.is_flat, "checked": rep.checked,
         "edge_count_mismatch": list(rep.edge_count_mismatch) if rep.edge_count_mismatch else None,
         "violations": [{"ell": ell, "subset": list(mem), "excess": exc}
                        for ell, mem, exc in rep.violations],
-    })
-    return [args.out]
+    })}
 
 
 def _chain_config(args):
@@ -211,9 +196,7 @@ def _cmd_mcmc(args):
         mcmc.WellPartition.from_params(g.n, g.k, args.kbar, args.d1, args.d2),
         seed=args.seed) if args.init == "conditional" else _uniform_init(g, args)
     trace = mcmc.run_chain(g, cfg, init)
-    _write_csv(args.out, "t,overlap,edges",
-               list(zip(trace.times, trace.overlaps, trace.edges)))
-    return [args.out]
+    return {args.out: _csv("t,overlap,edges", zip(trace.times, trace.overlaps, trace.edges))}
 
 
 def _uniform_init(g, args):
@@ -223,43 +206,43 @@ def _uniform_init(g, args):
 
 
 def _cmd_hit(args):
-    outputs = [path for path in (args.out, args.trace_out) if path]
-    _check_outputs(outputs)
     g = load_graph(args.graph)
     cfg = _chain_config(args)
     trace = mcmc.hitting_time(g, cfg)
     threshold = mcmc.beta_scale_threshold(g.n, args.kbar)
-    payload = {
+    files = {args.out: _json({
         "config": {"beta": args.beta, "kbar": args.kbar, "t_max": args.t_max,
                    "seed": args.seed, "d1": args.d1, "d2": args.d2},
         "hit_time": trace.hit_time,
         "censored": trace.hit_time is None,
         "beta_scale_threshold": threshold,
         "beta_meets_scale": args.beta >= threshold,
-    }
-    _write_json(args.out, payload)
+    })}
     if args.trace_out:
-        _write_csv(args.trace_out, "t,overlap,edges",
-                   list(zip(trace.times, trace.overlaps, trace.edges)))
-    return outputs
+        files[args.trace_out] = _csv("t,overlap,edges",
+                                     zip(trace.times, trace.overlaps, trace.edges))
+    return files
 
 
 def _cmd_few(args):
     g = load_graph(args.graph)
     part = mcmc.WellPartition.from_params(g.n, g.k, args.kbar, args.d1, args.d2)
+    dom = ModelParams(g.n, g.k, args.kbar).overlaps
+    if part.a0_max < dom.start:  # A2 always holds k, so only A0 can be empty
+        raise ParameterError(f"A0 = [0, {part.a0_max}] holds no feasible overlap: "
+                             f"feasible overlaps are {dom.start}..{dom.stop - 1}")
     ratio = mcmc.free_energy_well_ratio(g, args.kbar, args.beta, part,
                                         budget=args.budget)
     threshold = mcmc.beta_scale_threshold(g.n, args.kbar)
-    _write_json(args.out, {
+    return {args.out: _json({
         "kbar": args.kbar, "beta": args.beta,
         "partition": {"a0_max": part.a0_max, "a1_min": part.a1_min,
                       "a1_max": part.a1_max, "a2_min": part.a2_min},
-        "ln_ratio": None if ratio in (float("inf"), float("-inf")) else ratio,
+        "ln_ratio": None if ratio == float("inf") else ratio,
         "ln_ratio_infinite": ratio == float("inf"),
         "beta_scale_threshold": threshold,
         "beta_meets_scale": args.beta >= threshold,
-    })
-    return [args.out]
+    })}
 
 
 def _cmd_ogp(args):
@@ -268,14 +251,13 @@ def _cmd_ogp(args):
         curve = ogp.overlap_curve(g, args.kbar, method="local",
                                   budget=args.budget, seed=args.seed)
         wit = ogp.dip_witness(curve)
-        _write_json(args.out, {
+        return {args.out: _json({
             "kbar": args.kbar, "certificate": None,
             "evidence": None if wit is None else {
                 "z_star": wit.z_star, "dip_value": wit.dip_value,
                 "lo_value": wit.lo_value, "hi_value": wit.hi_value},
             "note": "heuristic curve: evidence only, not certifiable",
-        })
-        return [args.out], EXIT_NOT_CERTIFIABLE
+        })}, EXIT_NOT_CERTIFIABLE
     if (args.zeta1, args.zeta2, args.rn).count(None) not in (0, 3):
         raise ParameterError("--zeta1, --zeta2 and --rn go together")
     if args.zeta1 is not None:
@@ -285,7 +267,7 @@ def _cmd_ogp(args):
     else:
         cert = ogp.auto_certify(g, args.kbar, budget=args.budget)
         thresholds = "data-driven"
-    _write_json(args.out, {
+    return {args.out: _json({
         "kbar": args.kbar,
         "thresholds": thresholds,
         "holds": cert.holds,
@@ -296,8 +278,7 @@ def _cmd_ogp(args):
             "z": cert.violation[0],
             "subset": list(cert.violation[1].members) if cert.violation[1] else None},
         "reason": cert.reason,
-    })
-    return [args.out], (EXIT_OK if cert.holds else EXIT_REFUTED)
+    })}, (EXIT_OK if cert.holds else EXIT_REFUTED)
 
 
 # --- parser -------------------------------------------------------------------
@@ -438,21 +419,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
+        _check_outputs(args)
         result = args.func(args)
+        files, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        if files:
+            _write(args, files, t0)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParameterError, DomainError, UndefinedCurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    wall_ms = (time.perf_counter() - t0) * 1000
-    code = EXIT_OK
-    if isinstance(result, tuple):
-        outputs, code = result
-    else:
-        outputs = result
-    if outputs:
-        _manifest(args, outputs, wall_ms)
     return code
 
 

@@ -61,7 +61,8 @@ def log_binomial_tail(N: int, t: int) -> float:
     term outward, stopping once increments drop below 1e-18 of the running sum.
 
     Accuracy: relative error in log space <= ~1e-12 for N <= 1e5 (exact
-    big-integer anchor term); for larger N the anchor uses log-gamma, giving
+    big-integer anchor term); for larger N the anchor is log_binomial (a
+    direct log sum up to a short side of 2^18, log-gamma beyond), giving
     absolute error ~2e-9, which is still 1e-10 relative whenever
     |ln P| >= 20.  Returns -inf for t > N.
     """

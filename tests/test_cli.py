@@ -1,4 +1,6 @@
+import ast
 import gc
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -15,7 +17,7 @@ import plandscape
 from plandscape import landscape, ogp
 from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from plandscape.errors import ParameterError
-from plandscape.model import load_graph, sample_planted
+from plandscape.model import load_graph, sample_planted, save_graph
 from plandscape.ogp import dip_witness, overlap_curve
 
 
@@ -186,19 +188,73 @@ def test_hit_json_and_few(tmp_path):
     assert few["ln_ratio"] is not None
 
 
-@pytest.mark.parametrize("bad", ["out", "trace", "missing"])
-def test_hit_checks_both_outputs_before_writing(tmp_path, monkeypatch, capsys, bad):
+# one run of every file-writing subcommand: {g} is the input graph, {out}
+# and {trace} the output paths
+WRITERS = {
+    "sample": "sample --out {out}",
+    "curve": "curve --n 1000 --k 20 --kbar 30 --out {out}",
+    "classify": "classify --n 1000 --k 20 --kbar 40 --out {out}",
+    "phase": "phase --n 1000 --k-grid 20 --kbar-grid 40 --out {out}",
+    "dense-predict": "dense --predict --n 50 --K 10 --out {out}",
+    "dense": "dense --graph {g} --K 5 --out {out}",
+    "d-curve": "d-curve --graph {g} --out {out}",
+    "flatness": "flatness --K 14 --gamma 0.6 --delta 0.2 --graph {g} --out {out}",
+    "mcmc": "mcmc --graph {g} --beta 1 --t-max 10 --out {out}",
+    "hit": "hit --graph {g} --beta 1 --t-max 10 --out {out} --trace-out {trace}",
+    "few": "few --graph {g} --beta 1 --out {out}",
+    "ogp": "ogp --graph {g} --out {out}",
+}
+
+BAD_OUTPUTS = [
+    *(pytest.param(cmd, out, "t.csv", id=f"{cmd}-{bad}")
+      for cmd in WRITERS for bad, out in (("dir", "adir"), ("missing", "nodir/o"))),
+    pytest.param("hit", "h.json", "adir", id="hit-trace-dir"),
+    pytest.param("hit", "h.json", "nodir/t.csv", id="hit-trace-missing"),
+    pytest.param("hit", "h.json", "h.json", id="hit-twice"),
+    pytest.param("hit", "h.json", "./h.json.manifest.json", id="hit-manifest"),
+]
+
+
+@pytest.mark.parametrize("cmd, out, trace", BAD_OUTPUTS)
+def test_every_output_checked_before_any_work(tmp_path, monkeypatch, capsys, cmd, out, trace):
+    # the input graph is missing as well, so only a check made before any
+    # work fails on the output path
     monkeypatch.chdir(tmp_path)
-    assert main(["sample", "--out", "g.pcg"]) == 0
     (tmp_path / "adir").mkdir()
-    out, trace = {"out": ("adir", "tr.csv"), "trace": ("h.json", "adir"),
-                  "missing": ("h.json", "nodir/tr.csv")}[bad]
-    capsys.readouterr()
-    assert main(["hit", "--graph", "g.pcg", "--beta", "1", "--t-max", "10",
-                 "--out", out, "--trace-out", trace]) == EXIT_USAGE
+    assert main(WRITERS[cmd].format(g="missing.pcg", out=out, trace=trace).split()) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "g.pcg", "g.pcg.manifest.json"]
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: cannot write ")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+@pytest.mark.parametrize("cmd", WRITERS)
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, cmd):
+    monkeypatch.chdir(tmp_path)
+    save_graph(sample_planted(14, 4, 0), "g.pcg")
+    argv = WRITERS[cmd].format(g="g.pcg", out="o.out", trace="t.csv").split()
+    assert main(argv) in (0, EXIT_REFUTED)
+    manifest = json.loads((tmp_path / "o.out.manifest.json").read_text())
+    assert manifest["subcommand"] == WRITERS[cmd].split()[0]
+    outputs = [o["path"] for o in manifest["outputs"]]
+    assert outputs == (["o.out", "t.csv"] if cmd == "hit" else ["o.out"])
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(["g.pcg", "o.out.manifest.json", *outputs])
+    for o in manifest["outputs"]:
+        data = (tmp_path / o["path"]).read_bytes()
+        assert (o["sha256"], o["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))
+
+
+def test_readme_commands_are_the_benchmark_drive():
+    # the cli_pipeline benchmark times the documented commands; read its
+    # list without importing the benchmark
+    root = pathlib.Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Command line")[1].split("```")[1]
+    documented = [" ".join(line.split("#")[0].split()[1:]) for line in block.strip().splitlines()]
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    drive = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "README_DRIVE")
+    assert documented == [cmd.format(seed=0) for cmd in drive[:12]]
 
 
 def test_phase_csv(tmp_path):
@@ -249,8 +305,9 @@ def test_file_writing_run_closes_every_file(tmp_path):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-# input -> documented exit code: a one-line message on failure, an empty
-# stderr on success, never a traceback; {g} is a valid desk-scale graph file
+# input -> documented exit code: a one-line message and no file written on
+# failure, an empty stderr on success, never a traceback; {g} is a valid
+# desk-scale graph file
 CONTRACT = [
     ("curve --n 1000 --k 20 --kbar 20 --kind phi --out c.csv", EXIT_USAGE),
     ("curve --n 1000 --k 20 --kbar 30 --z-lo 25 --out c.csv", EXIT_USAGE),
@@ -291,6 +348,7 @@ CONTRACT = [
     ("few --graph {g} --beta 1e308 --out f.json", EXIT_USAGE),
     ("mcmc --graph {g} --init conditional --beta 1e308 --t-max 10 --out tr.csv", EXIT_USAGE),
     ("few --graph {g} --beta 1.0 --budget -1 --out f.json", EXIT_USAGE),
+    ("few --graph {g} --kbar 12 --d1 0.05 --beta 1 --out f.json", EXIT_USAGE),
     ("dense --graph {g} --K 5 --method local --budget -1 --out d.json", EXIT_USAGE),
     ("dense --predict --n 50 --K 10 --budget -1 --out d.json", EXIT_USAGE),
     ("d-curve --graph {g} --kbar 5 --method local --budget -1 --out d.csv", EXIT_USAGE),
@@ -311,6 +369,7 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
         return
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.pcg", "g.pcg.manifest.json"]
 
 
 def test_one_node_budget_default():

@@ -92,6 +92,31 @@ def test_tail_matches_big_integer_oracle():
         assert abs(got - want) / abs(want) <= 1e-10, (N, t)
 
 
+def series_tail_log(N, t):
+    """Series oracle for t >= N/2 at 40 digits: ln C(N, t) from mp.loggamma
+    plus the log of the decreasing ratio terms C(N, j) / C(N, t), j >= t."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        term = total = mp.mpf(1)
+        for j in range(t, N):
+            term *= mp.mpf(N - j) / (j + 1)
+            total += term
+            if term < mp.mpf(10) ** -45 * total:
+                break
+        anchor = mp.loggamma(N + 1) - mp.loggamma(t + 1) - mp.loggamma(N - t + 1)
+        return float(anchor + mp.log(total) - N * mp.log(2))
+
+
+@pytest.mark.parametrize("N", [100_001, 600_000])
+def test_tail_past_the_big_integer_anchor(N):
+    # past N = 1e5 the anchor is log_binomial: its direct log sum for both
+    # points at N = 100001 and for t = 0.6 N at N = 600000, log-gamma for
+    # t near N/2 at N = 600000
+    for t in (N // 2 + 1, math.ceil(0.6 * N)):
+        assert abs(log_binomial_tail(N, t) - series_tail_log(N, t)) <= 2e-9, (N, t)
+
+
 def test_tail_complement_identity():
     # P[X >= t] + P[X <= t-1] = 1, with P[X <= t-1] = P[X >= N-t+1] by symmetry
     for N, t in [(10, 4), (100, 47), (1000, 520), (10000, 5030)]:
