@@ -262,7 +262,7 @@ def _cmd_ogp(args):
         raise ParameterError("--zeta1, --zeta2 and --rn go together")
     if args.zeta1 is not None:
         curve = ogp.overlap_curve(g, args.kbar, budget=args.budget)
-        cert = ogp.certify_ogp(g, args.kbar, curve, args.zeta1, args.zeta2, args.rn)
+        cert = ogp.certify_ogp(curve, args.zeta1, args.zeta2, args.rn)
         thresholds = "caller-supplied"
     else:
         cert = ogp.auto_certify(g, args.kbar, budget=args.budget)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--d1", type=float, default=0.25)
     p.add_argument("--d2", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=landscape.SUBSET_BUDGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_few)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .model import ModelParams, PlantedGraph, VertexSubset, edge_count, mask_to_members, rng_from_seed
-from .landscape import kbar_subsets
+from .landscape import SUBSET_BUDGET, kbar_subsets
 from .numerics import log_placements
 
 _BLOCK = 1 << 15
@@ -275,7 +275,7 @@ class ExactGibbs:
 
 
 def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
-                budget: int = 10**7) -> ExactGibbs:
+                budget: int = SUBSET_BUDGET) -> ExactGibbs:
     """Exact Gibbs distribution by enumerating every kbar-subset (explicit
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
     p = ModelParams(g.n, g.k, kbar)
@@ -291,7 +291,7 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
 
 
 def free_energy_well_ratio(g: PlantedGraph, kbar: int, beta: float,
-                           part: WellPartition, budget: int = 10**7) -> float:
+                           part: WellPartition, budget: int = SUBSET_BUDGET) -> float:
     """ln( min(pi(A0), pi(A2)) / pi(A1) ) from the exact Gibbs law."""
     return exact_gibbs(g, kbar, beta, budget).well_log_ratio(part)
 
@@ -315,7 +315,7 @@ def well_ratio_lower_bound(p: ModelParams, beta: float, part: WellPartition,
 
 
 def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartition,
-                     seed: int, budget: int = 10**7, return_info: bool = False):
+                     seed: int, budget: int = SUBSET_BUDGET, return_info: bool = False):
     """Sample a start state from pi_beta conditioned on overlap <= a1_max.
 
     Exact conditional sampling whenever enumeration fits the budget;
@@ -346,7 +346,7 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
     return (trace.final_state, info) if return_info else trace.final_state
 
 
-def hitting_time(g: PlantedGraph, cfg: MCMCConfig, budget: int = 10**7) -> ChainTrace:
+def hitting_time(g: PlantedGraph, cfg: MCMCConfig, budget: int = SUBSET_BUDGET) -> ChainTrace:
     """Escape time of the low-overlap region: start from the conditional law
     on overlap <= a1_max, run the unrestricted chain until the overlap
     exceeds a1_max or t_max runs out (hit_time None on timeout)."""

@@ -128,28 +128,20 @@ _LGAMMA_MIN_SIDE = 1 << 18
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k), relative error <= 1e-12 for n <= 1e8.
-
-    Log-gamma differences cancel badly when one side of the coefficient is
-    small (the three ~n ln n magnitudes swamp a small ln C), so below
-    2^18 the short side is summed directly as ln n + ln(n-1) + ...; the
-    log-gamma branch only runs where its cancellation is harmless."""
+    """ln C(n, k), relative error <= 1e-12 for n <= 1e8 (see _log_binomials)."""
     if k < 0 or n < 0 or k > n:
         raise ParameterError(f"log_binomial needs 0 <= k <= n, got n={n} k={k}")
-    side = min(k, n - k)
-    if side == 0:
-        return 0.0
-    if side <= _LGAMMA_MIN_SIDE:
-        rising = float(np.log(np.arange(n - side + 1, n + 1, dtype=np.float64)).sum())
-        return rising - math.lgamma(side + 1)
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return _log_binomials(n, [k])[0]
 
 
 def _log_binomials(n: int, ks) -> list[float]:
-    """[log_binomial(n, k) for k in ks], bit for bit, for valid k: one table
-    ln(n-top+1) .. ln n serves every direct sum, top the longest side.  Side
-    s sums the table's last s entries, which are the elements, length and
-    pairwise order of log_binomial's own fresh ln(n-s+1) .. ln n."""
+    """[ln C(n, k) for k in ks], for valid k.  Log-gamma differences cancel
+    badly when one side of the coefficient is small (the three ~n ln n
+    magnitudes swamp a small ln C), so a short side s <= 2^18 is summed
+    directly as ln n + ... + ln(n-s+1), from the last s entries of one table
+    ln(n-top+1) .. ln n, top the longest such side.  Those are the elements,
+    length and pairwise order of a fresh table for s alone, so a value does
+    not depend on the other ks."""
     sides = [min(k, n - k) for k in ks]
     top = max([s for s in sides if s <= _LGAMMA_MIN_SIDE], default=0)
     table = np.log(np.arange(n - top + 1, n + 1, dtype=np.float64))
@@ -168,7 +160,8 @@ def _choose2(m: int) -> int:
 # Each curve kind has one private evaluator that maps overlaps zs and their
 # placement log-counts a = [A(z) for z in zs] to curve values.  The public
 # per-point functions and curve_grid both call it; only the source of A
-# differs (log_placements per point, _window_placements per window).
+# differs (log_placements per point, which checks z, and _window_placements
+# per overlap_window), and both take ln C from _log_binomials.
 
 
 def log_placements(p: ModelParams, z: int) -> float:
@@ -198,10 +191,19 @@ def _window_placements(p: ModelParams, lo: int, hi: int) -> list[float]:
     return run[lo - start:hi + 1 - start].tolist()
 
 
-def default_window(p: ModelParams) -> range:
-    """Default overlap window of a curve: the feasible overlaps from
-    floor(kbar*k/n) up."""
-    return range(max(p.kbar * p.k // p.n, p.overlaps.start), p.overlaps.stop)
+def overlap_window(p: ModelParams, z_lo: int | None = None,
+                   z_hi: int | None = None) -> range:
+    """The overlaps a curve covers: [z_lo, z_hi], each end defaulting to the
+    default window [floor(kbar*k/n), min(k, kbar)], which kbar <= n makes
+    feasible and never empty.  A given end must be a feasible overlap, and
+    z_lo > z_hi is an empty window (ParameterError)."""
+    lo = p.kbar * p.k // p.n if z_lo is None else z_lo
+    hi = p.overlaps.stop - 1 if z_hi is None else z_hi
+    check_overlap(lo, p.overlaps)
+    check_overlap(hi, p.overlaps)
+    if lo > hi:
+        raise ParameterError(f"empty overlap window [{lo}, {hi}]")
+    return range(lo, hi + 1)
 
 
 def first_moment_curve(p: ModelParams, z: int) -> float:
@@ -212,7 +214,6 @@ def first_moment_curve(p: ModelParams, z: int) -> float:
     with A(z) = log_placements(p, z).  Where M = 0 (the fully-overlapping
     point z = k = kbar, or kbar = 1) it evaluates to C(z,2).
     """
-    check_overlap(z, p.overlaps)
     return _first_moment(p, [z], [log_placements(p, z)])[0]
 
 
@@ -242,7 +243,6 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
     `use_k_quadratic=True` swaps C(kbar,2) -> C(k,2) in both occurrences,
     reproducing the plotted small-clique variant of the formula.
     """
-    check_overlap(z, p.overlaps)
     return _sqrt_approx(p, [z], [log_placements(p, z)], use_k_quadratic)[0]
 
 
@@ -263,7 +263,6 @@ def _sqrt_approx(p: ModelParams, zs, a, use_k_quadratic: bool = False) -> list[f
 def sqrt_approx_renormalized(p: ModelParams, z: int) -> float:
     """kbar^{-3/2} * (sqrt-approx(z) - C(kbar,2)/2), computed without the
     cancellation of subtracting two ~1e11 values."""
-    check_overlap(z, p.overlaps)
     return _sqrt_renormalized(p, [z], [log_placements(p, z)])[0]
 
 
@@ -285,7 +284,6 @@ def first_moment_expansion(p: ModelParams, z: int) -> float:
     M = C(kbar,2) - C(z,2).  Within O(1) of the exact curve once
     kbar >= (ln n)^5.
     """
-    check_overlap(z, p.overlaps)
     return _expansion(p, [z], [log_placements(p, z)])[0]
 
 
@@ -376,9 +374,8 @@ _KIND_NAMES = {
 
 def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
                z_hi: int | None = None) -> OverlapCurve:
-    """Evaluate a deterministic curve on every integer z in [z_lo, z_hi]
-    (defaults: default_window(p), i.e. [floor(kbar*k/n), k]).  Both ends
-    must be feasible overlaps and the window must not be empty.
+    """Evaluate a deterministic curve on every integer z of
+    overlap_window(p, z_lo, z_hi), by default [floor(kbar*k/n), k].
 
     The window runs as one batch: A(z) comes from one log table per
     binomial, computed once per p and overlap whatever the kind, and gamma
@@ -386,17 +383,11 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
     function of its kind."""
     if kind not in _KIND_EVAL:
         raise ParameterError(f"unknown curve kind {kind!r}")
-    fn = _KIND_EVAL[kind]
-    window = default_window(p)
-    lo = window.start if z_lo is None else z_lo
-    hi = window[-1] if z_hi is None else z_hi
-    check_overlap(lo, p.overlaps)
-    check_overlap(hi, p.overlaps)
-    if lo > hi:
-        raise ParameterError(f"empty overlap window [{lo}, {hi}]")
-    values = tuple(fn(p, range(lo, hi + 1), _window_placements(p, lo, hi)))
+    window = overlap_window(p, z_lo, z_hi)
+    a = _window_placements(p, window.start, window[-1])
+    values = tuple(_KIND_EVAL[kind](p, window, a))
     scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
-    return OverlapCurve(params=p, kind=_KIND_NAMES[kind], z_lo=lo, values=values,
+    return OverlapCurve(params=p, kind=_KIND_NAMES[kind], z_lo=window.start, values=values,
                         scale=scale)
 
 
@@ -465,13 +456,13 @@ def classify_params(p: ModelParams, margin: float = 1.0) -> MonotonicityClass:
 
 def classifier_window(p: ModelParams, cfg: ClassifierConfig | None = None) -> range:
     """The overlaps classify_curve reads: [floor(c0*kbar*k/n), (1-epsilon)*k],
-    with the lower end falling back to default_window(p) when the c0-shrunk
+    with the lower end falling back to overlap_window(p) when the c0-shrunk
     window keeps fewer than 3 points; ParameterError if that one does too."""
     cfg = cfg or ClassifierConfig()
     lo = int(cfg.c0 * p.kbar * p.k / p.n)
     hi = int((1.0 - cfg.epsilon) * p.k)
     if lo > hi - 2:
-        lo = default_window(p).start
+        lo = overlap_window(p).start
     if lo > hi - 2:
         raise ParameterError(f"window [{lo}, {hi}] has fewer than 3 points")
     return range(lo, hi + 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, ParameterError
 from .model import PlantedGraph, VertexSubset
-from .numerics import ModelParams, OverlapCurve, default_window
+from .numerics import ModelParams, OverlapCurve, overlap_window
 from . import landscape
 
 
@@ -41,21 +41,16 @@ class OGPCertificate:
 
 
 def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
-                  budget: int = landscape.NODE_BUDGET, restarts: int = 20, seed: int = 0,
-                  z_lo: int | None = None, z_hi: int | None = None) -> OverlapCurve:
-    """Per-instance curve z -> best edge count at overlap exactly z, over
-    the default window of ModelParams(n, k, kbar) (the feasible overlaps from
-    floor(kbar*k/n) up) unless a narrower window is requested.
+                  budget: int = landscape.NODE_BUDGET, restarts: int = 20,
+                  seed: int = 0) -> OverlapCurve:
+    """Per-instance curve z -> best edge count at overlap exactly z over the
+    default overlap_window(ModelParams(n, k, kbar)), [floor(kbar*k/n), k].
 
     Exhaustive entries are exact, by branch and bound under a node budget
     per overlap (certificates allowed); local-search entries are lower bounds
     (evidence only)."""
     p = ModelParams(g.n, g.k, kbar)
-    window = default_window(p)
-    z_lo = window.start if z_lo is None else max(z_lo, window.start)
-    z_hi = window[-1] if z_hi is None else min(z_hi, window[-1])
-    if z_lo > z_hi:
-        raise ParameterError(f"empty overlap window [{z_lo}, {z_hi}]")
+    window = overlap_window(p)
     if method not in ("exhaustive", "local"):
         raise ParameterError(f"method must be 'exhaustive' or 'local', got {method!r}")
     if method == "local" and seed < 0:  # each z searches on seed ^ z
@@ -63,13 +58,13 @@ def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
     if budget < 0:  # the local method never reads it
         raise ParameterError(f"node budget must be >= 0, got {budget}")
     results = {}
-    for z in range(z_lo, z_hi + 1):
+    for z in window:
         if method == "exhaustive":
             results[z] = landscape.densest_with_overlap(g, kbar, z, budget=budget)
         else:
             results[z] = landscape.local_search_densest(g, kbar, z=z, restarts=restarts,
                                                         seed=seed ^ z)
-    return OverlapCurve(params=p, kind="Empirical", z_lo=z_lo,
+    return OverlapCurve(params=p, kind="Empirical", z_lo=window.start,
                         values=tuple(float(res.value) for res in results.values()),
                         exact=(method == "exhaustive"), results=results)
 
@@ -88,8 +83,7 @@ def dip_witness(curve: OverlapCurve) -> DipWitness | None:
                       lo_value=lo, hi_value=hi)
 
 
-def certify_ogp(g: PlantedGraph, kbar: int, curve: OverlapCurve,
-                zeta1: int, zeta2: int, r_n: float) -> OGPCertificate:
+def certify_ogp(curve: OverlapCurve, zeta1: int, zeta2: int, r_n: float) -> OGPCertificate:
     """Check the two gap conditions against an exact curve:
 
       (1) max d(z) over z <= zeta1 and over z >= zeta2 both reach r_n;
@@ -150,6 +144,6 @@ def auto_certify(g: PlantedGraph, kbar: int, budget: int = landscape.NODE_BUDGET
                 if curve.value(z) >= provisional)
     band_max = max(curve.value(z) for z in range(zeta1 + 1, zeta2))
     r_n = 0.5 * (band_max + endpoint_min)
-    cert = certify_ogp(g, kbar, curve, zeta1, zeta2, r_n)
+    cert = certify_ogp(curve, zeta1, zeta2, r_n)
     assert cert.holds, "constructed certificate must verify"
     return cert

@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 import plandscape
-from plandscape import landscape, ogp
+from plandscape import landscape, mcmc, ogp
 from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from plandscape.errors import ParameterError
 from plandscape.model import load_graph, sample_planted, save_graph
@@ -370,6 +370,15 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.pcg", "g.pcg.manifest.json"]
+
+
+def test_one_subset_budget_default():
+    assert landscape.SUBSET_BUDGET == 10**7
+    for f in (mcmc.exact_gibbs, mcmc.free_energy_well_ratio, mcmc.conditional_init,
+              mcmc.hitting_time):
+        assert inspect.signature(f).parameters["budget"].default == 10**7, f.__name__
+    argv = "few --graph g --beta 1.0 --out f.json".split()
+    assert build_parser().parse_args(argv).budget == 10**7
 
 
 def test_one_node_budget_default():

@@ -108,10 +108,10 @@ def series_tail_log(N, t):
         return float(anchor + mp.log(total) - N * mp.log(2))
 
 
-@pytest.mark.parametrize("N", [100_001, 600_000])
+@pytest.mark.parametrize("N", [20_000, 50_000, 100_000, 100_001, 600_000])
 def test_tail_past_the_big_integer_anchor(N):
-    # past N = 1e5 the anchor is log_binomial: its direct log sum for both
-    # points at N = 100001 and for t = 0.6 N at N = 600000, log-gamma for
+    # the anchor is log_binomial at every N: its direct log sum for both
+    # points up to N = 100001 and for t = 0.6 N at N = 600000, log-gamma for
     # t near N/2 at N = 600000
     for t in (N // 2 + 1, math.ceil(0.6 * N)):
         assert abs(log_binomial_tail(N, t) - series_tail_log(N, t)) <= 2e-9, (N, t)

@@ -26,13 +26,13 @@ from plandscape.numerics import (
     classifier_window,
     classify_params,
     curve_grid,
-    default_window,
     entropy_inv_series,
     first_moment_curve,
     first_moment_expansion,
     first_moment_sqrt_approx,
     log_binomial,
     log_placements,
+    overlap_window,
     phase_diagram,
     rate_function,
     sqrt_approx_renormalized,
@@ -368,6 +368,50 @@ def test_curve_grid_rejects_windows_outside_feasible_overlaps():
     assert [pt.z for pt in curve_grid(p, "gamma", 20).points] == [20]
 
 
+small_triples = st.integers(1, 300).flatmap(
+    lambda n: st.integers(1, n).flatmap(
+        lambda k: st.tuples(st.just(n), st.just(k), st.integers(k, n))))
+paper_triples = st.integers(1, 2000).flatmap(
+    lambda k: st.tuples(st.just(10**7), st.just(k), st.integers(k, 10**7)))
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_triples, paper_triples))
+@example((1, 1, 1))
+@example((300, 1, 300))
+@example((10**7, 3000, 10**7 - 1))
+@example((10**7, 700, 10**7))
+def test_default_overlap_window_is_the_feasible_part_from_the_floor(triple):
+    n, k, kbar = triple
+    p = ModelParams(n, k, kbar)
+    window = overlap_window(p)
+    assert window == range(max(kbar * k // n, p.overlaps.start), min(k, kbar) + 1)
+    assert len(window) > 0
+    # gamma-tilde is defined at every overlap, so any window evaluates
+    curve = curve_grid(p, "gamma-tilde")
+    assert (curve.z_lo, curve.z_hi) == (window.start, window[-1])
+
+
+def test_overlap_window_checks_each_given_end():
+    p = ModelParams(1000, 20, 30)  # feasible overlaps 0..20, default window 0..20
+    assert overlap_window(p, 5) == range(5, 21)
+    assert overlap_window(p, z_hi=5) == range(0, 6)
+    assert overlap_window(p, 20, 20) == range(20, 21)
+    with pytest.raises(ParameterError, match=r"^overlap z=25 infeasible: feasible overlaps are 0\.\.20$"):
+        overlap_window(p, 25)
+    with pytest.raises(ParameterError, match=r"^overlap z=21 infeasible: feasible overlaps are 0\.\.20$"):
+        overlap_window(p, 5, 21)
+    with pytest.raises(ParameterError, match=r"^overlap z=-1 infeasible: feasible overlaps are 0\.\.20$"):
+        overlap_window(p, z_lo=-1)
+    with pytest.raises(ParameterError, match=r"^overlap z=4 infeasible: feasible overlaps are 5\.\.10$"):
+        overlap_window(ModelParams(20, 10, 15), 4)
+    with pytest.raises(ParameterError, match=r"^empty overlap window \[10, 5\]$"):
+        overlap_window(p, 10, 5)
+    # feasible overlaps 10..20, default lower end floor(90 * 20 / 100) = 18
+    with pytest.raises(ParameterError, match=r"^empty overlap window \[18, 12\]$"):
+        overlap_window(ModelParams(100, 20, 90), z_hi=12)
+
+
 def test_curve_points_and_z_hi_are_derived_from_values():
     p = ModelParams(1000, 20, 30)
     for curve in (curve_grid(p, "gamma"), curve_grid(p, "phi", 5, 9),
@@ -566,7 +610,7 @@ KINDS = list(PER_POINT)
 
 def _window(p):
     """The default window, stopped at k - 1 so phi stays defined at k == kbar."""
-    return default_window(p).start, p.k - 1
+    return overlap_window(p).start, p.k - 1
 
 
 def _call_orders(p):

@@ -7,7 +7,7 @@ import pytest
 
 from plandscape.errors import CertificationError, ParameterError
 from plandscape.model import ModelParams, VertexSubset, edge_count, sample_planted
-from plandscape.numerics import CurvePoint, OverlapCurve
+from plandscape.numerics import CurvePoint, OverlapCurve, overlap_window
 from plandscape.ogp import auto_certify, certify_ogp, dip_witness, overlap_curve
 
 
@@ -38,6 +38,15 @@ def test_overlap_curve_matches_independent_enumerator():
                    for c in combinations(range(14), 5)
                    if len(planted.intersection(c)) == z)
         assert curve.value(z) == best
+
+
+def test_overlap_curve_covers_the_default_window():
+    g = sample_planted(14, 4, 7)
+    for kbar in (4, 5, 7, 12):  # default lower ends 1, 1, 2, 3
+        window = overlap_window(ModelParams(14, 4, kbar))
+        for curve in (overlap_curve(g, kbar), overlap_curve(g, kbar, method="local", restarts=2)):
+            assert range(curve.z_lo, curve.z_hi + 1) == window
+            assert list(curve.results) == list(window)
 
 
 def test_overlap_curve_full_overlap_entry():
@@ -74,14 +83,14 @@ def test_certify_requires_exact_curve():
     g = sample_planted(14, 4, 7)
     heuristic = overlap_curve(g, 5, method="local", restarts=2, seed=0)
     with pytest.raises(CertificationError):
-        certify_ogp(g, 5, heuristic, 1, 3, 5.0)
+        certify_ogp(heuristic, 1, 3, 5.0)
 
 
 def test_certify_threshold_zero_never_holds():
     # every subset has >= 0 edges, so the band is never empty of witnesses
     g = sample_planted(14, 4, 7)
     curve = overlap_curve(g, 5)
-    cert = certify_ogp(g, 5, curve, curve.z_lo, curve.z_hi, 0.0)
+    cert = certify_ogp(curve, curve.z_lo, curve.z_hi, 0.0)
     assert not cert.holds
     assert cert.violation is not None
 
@@ -89,7 +98,7 @@ def test_certify_threshold_zero_never_holds():
 def test_certify_threshold_above_capacity_never_holds():
     g = sample_planted(14, 4, 7)
     curve = overlap_curve(g, 5)
-    cert = certify_ogp(g, 5, curve, 1, 3, math.comb(5, 2) + 1.0)
+    cert = certify_ogp(curve, 1, 3, math.comb(5, 2) + 1.0)
     assert not cert.holds
     assert "no dense subset" in cert.reason
 
@@ -127,7 +136,7 @@ def test_auto_certify_agrees_with_certify():
     g = sample_planted(12, 4, 30)
     cert = auto_certify(g, 4)
     curve = overlap_curve(g, 4)
-    again = certify_ogp(g, 4, curve, cert.zeta1, cert.zeta2, cert.r_n)
+    again = certify_ogp(curve, cert.zeta1, cert.zeta2, cert.r_n)
     assert again.holds
 
 
@@ -152,28 +161,17 @@ def test_certify_parameter_validation():
     g = sample_planted(12, 4, 30)
     curve = overlap_curve(g, 4)
     with pytest.raises(ParameterError):
-        certify_ogp(g, 4, curve, 3, 1, 5.0)
+        certify_ogp(curve, 3, 1, 5.0)
     with pytest.raises(ParameterError):
         overlap_curve(g, 0)
 
 
 def test_monotone_exact_curve_never_certifies():
-    g = sample_planted(14, 4, 7)  # graph only supplies witness lookup
     curve = make_curve([1, 2, 3, 4, 5, 6], exact=True)
     for zeta1 in range(0, 4):
         for zeta2 in range(zeta1 + 2, 6):
             for r in (0.0, 1.5, 3.0, 4.5, 6.0):
-                assert not certify_ogp(g, 4, curve, zeta1, zeta2, r).holds
-
-
-def test_overlap_curve_optional_window():
-    g = sample_planted(14, 4, 7)
-    full = overlap_curve(g, 5)
-    win = overlap_curve(g, 5, z_lo=2, z_hi=3)
-    assert (win.z_lo, win.z_hi) == (2, 3)
-    assert [win.value(z) for z in (2, 3)] == [full.value(2), full.value(3)]
-    with pytest.raises(ParameterError):
-        overlap_curve(g, 5, z_lo=4, z_hi=2)
+                assert not certify_ogp(curve, zeta1, zeta2, r).holds
 
 
 def test_curve_points_and_z_hi_are_derived_from_values():
@@ -190,12 +188,11 @@ def test_curve_points_and_z_hi_are_derived_from_values():
 
 
 def test_certify_ogp_breaks_ties_to_the_smallest_overlap():
-    g = sample_planted(14, 4, 7)
     curve = dataclasses.replace(make_curve([5, 5, 4, 4, 5, 5]),
                                 results={z: SimpleNamespace(witness=z) for z in range(6)})
-    held = certify_ogp(g, 5, curve, 1, 4, 4.5)
+    held = certify_ogp(curve, 1, 4, 4.5)
     assert held.holds and (held.low_witness, held.high_witness) == (0, 4)
-    refuted = certify_ogp(g, 5, curve, 1, 4, 3.0)
+    refuted = certify_ogp(curve, 1, 4, 3.0)
     assert not refuted.holds and refuted.violation == (2, 2)
 
 
@@ -204,7 +201,7 @@ def test_certify_ogp_rejects_a_non_finite_level():
     curve = overlap_curve(g, 5)
     for r_n in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="r_n must be finite"):
-            certify_ogp(g, 5, curve, curve.z_lo, curve.z_hi, r_n)
+            certify_ogp(curve, curve.z_lo, curve.z_hi, r_n)
 
 
 def test_overlap_curve_rejects_kbar_below_k_before_enumerating():
