@@ -44,14 +44,18 @@ def _csv(header, rows) -> str:
 
 def _check_outputs(args) -> None:
     """Every path the run will write, checked before any work: a directory,
-    a path in a missing directory or a path named twice raises OSError."""
+    a path in a missing directory, a path named twice or the input graph
+    raises OSError."""
     paths = [p for p in (args.out, getattr(args, "trace_out", None)) if p]
     paths += [f"{args.out}.manifest.json"] if args.out else []
+    graph = getattr(args, "graph", None)
     for i, path in enumerate(paths):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write {path}: a directory, or in a missing one")
         if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
             raise OSError(f"cannot write {path}: named twice")
+        if graph and os.path.realpath(path) == os.path.realpath(graph):
+            raise OSError(f"cannot write {path}: it is the input graph")
 
 
 def _write(args, files, t0) -> None:
@@ -301,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kbar", type=int, required=True)
-    p.add_argument("--kind", default="gamma",
-                   choices=["gamma", "gamma-tilde", "gamma-tilde-renorm", "phi"])
+    p.add_argument("--kind", default="gamma", choices=numerics.CURVE_KINDS)
     p.add_argument("--z-lo", type=int, default=None)
     p.add_argument("--z-hi", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -316,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="indeterminate band around the trend boundaries")
     p.add_argument("--empirical", action="store_true",
                    help="classify the evaluated curve instead of the trend statistic")
-    p.add_argument("--kind", default="gamma",
-                   choices=["gamma", "gamma-tilde", "gamma-tilde-renorm", "phi"])
+    p.add_argument("--kind", default="gamma", choices=numerics.CURVE_KINDS)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--c0", type=float, default=8.0)
     p.add_argument("--out", default=None, help="optional JSON output")

@@ -93,6 +93,8 @@ def _check_exhaustive(g: BitGraph, gamma: float, delta: float):
 def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: int):
     """Uniform ell-subsets plus greedy densest witnesses on a coarse ell grid;
     uniform draws almost never land on a violation, the greedy witnesses do."""
+    if samples < 0:
+        raise ParameterError(f"samples must be >= 0, got {samples}")
     K = g.n
     thr = _thresholds(K, gamma, delta)
     rng = rng_from_seed(seed, stream=1)

@@ -274,14 +274,13 @@ def densest_subgraph(g: BitGraph, K: int, budget: int = NODE_BUDGET) -> DensestR
 
 
 def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
-                         restarts: int = 1, seed: int = 0,
-                         plateau: int | None = None) -> DensestResult:
+                         restarts: int = 1, seed: int = 0) -> DensestResult:
     """Greedy swap ascent to a local maximum of the induced edge count.
 
     Each sweep applies the best single swap (one vertex out, one in); when z
     is fixed, swaps stay within the planted part and within the non-planted
     part so the overlap never changes.  Equal-value swaps are taken up to a
-    plateau budget (default 2*kbar consecutive) to escape ties.  Best value
+    plateau budget of 2*kbar consecutive ones to escape ties.  Best value
     over `restarts` seeded starts; restarts=0 scores the seeded initial
     subset as-is.
     """
@@ -293,7 +292,6 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
             raise ParameterError("overlap-constrained search needs a planted graph")
         check_overlap(z, feasible_overlaps(n, g.k, kbar))
 
-    plateau_budget = 2 * kbar if plateau is None else plateau
     rng = rng_from_seed(seed)
     if z is None:
         pools = [list(range(n))]
@@ -333,7 +331,7 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
         e = adj.dot(x)
         val = int(e.dot(x)) // 2
         e[x] += neg
-        plateau_left = plateau_budget
+        plateau_left = 2 * kbar
         while True:
             ins = x.nonzero()[0]
             score = base.take(ins, axis=0)
@@ -343,7 +341,7 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
             delta = score.item(best)
             if delta < 0 or (delta == 0 and plateau_left <= 0):
                 break
-            plateau_left = plateau_left - 1 if delta == 0 else plateau_budget
+            plateau_left = plateau_left - 1 if delta == 0 else 2 * kbar
             u, v = ins.item(best // n), best % n
             x[u], x[v] = False, True
             e += arows[v] - arows[u]

@@ -141,7 +141,7 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
 
     in_list = list(init.members)
     out_list = [v for v in range(n) if not mask >> v & 1]
-    edges = g.count_in_mask(mask)
+    edges = edge_count(g, init)  # checks every member is a vertex
     ov = (mask & pmask).bit_count()
     if max_overlap is not None and ov > max_overlap:
         raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")

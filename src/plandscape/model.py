@@ -65,8 +65,8 @@ class ModelParams:
 
     @functools.cached_property
     def _placements(self) -> list:
-        """numerics' memo [z0, float64 array A(z0), A(z0+1), ...] of one
-        contiguous run of overlaps; it lives and dies with this instance."""
+        """numerics' memo [z0, float64 array A(z0), A(z0+1), ...] of the last
+        window curve_grid computed; it lives and dies with this instance."""
         return [0, np.empty(0)]
 
 

@@ -173,20 +173,14 @@ def log_placements(p: ModelParams, z: int) -> float:
 
 def _window_placements(p: ModelParams, lo: int, hi: int) -> list[float]:
     """[log_placements(p, z) for z in lo..hi], bit for bit, through p's memo
-    of one run of overlaps: only the zs the run lacks are computed, and a
-    window that neither overlaps nor touches the run starts a new one.
-    A(z) depends on (n, k, kbar, z) alone, so every call order gives the
-    bits of a fresh computation."""
+    of the last window computed: a window inside it is a slice, and any other
+    window is computed whole and replaces it.  A(z) depends on (n, k, kbar,
+    z) alone, so every call order gives the bits of a fresh computation."""
     start, run = p._placements
-    if hi + 1 < start or lo > start + len(run):
-        start, run = lo, np.empty(0)
-    zs = [*range(lo, start), *range(start + len(run), hi + 1)]
-    if zs:
-        a = np.add(_log_binomials(p.k, zs),
-                   _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))
-        cut = max(start - lo, 0)
-        run = np.concatenate((a[:cut], run, a[cut:]))
-        start = min(lo, start)
+    if not start <= lo <= hi < start + len(run):
+        zs = range(lo, hi + 1)
+        start, run = lo, np.add(_log_binomials(p.k, zs),
+                                _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))
         p._placements[:] = start, run
     return run[lo - start:hi + 1 - start].tolist()
 
@@ -357,38 +351,33 @@ class OverlapCurve:
         return self.values[z - self.z_lo]
 
 
-_KIND_EVAL = {
-    "gamma": _first_moment,
-    "gamma-tilde": _sqrt_approx,
-    "gamma-tilde-renorm": _sqrt_renormalized,
-    "phi": _expansion,
+# kind -> (evaluator, stored OverlapCurve.kind, exponent e of the stored
+# scale kbar**e)
+_KINDS = {
+    "gamma": (_first_moment, "Gamma", 0.0),
+    "gamma-tilde": (_sqrt_approx, "GammaTilde", 0.0),
+    "gamma-tilde-renorm": (_sqrt_renormalized, "GammaTilde", -1.5),
+    "phi": (_expansion, "Phi", 0.0),
 }
-
-_KIND_NAMES = {
-    "gamma": "Gamma",
-    "gamma-tilde": "GammaTilde",
-    "gamma-tilde-renorm": "GammaTilde",
-    "phi": "Phi",
-}
+CURVE_KINDS = tuple(_KINDS)
 
 
 def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
                z_hi: int | None = None) -> OverlapCurve:
-    """Evaluate a deterministic curve on every integer z of
-    overlap_window(p, z_lo, z_hi), by default [floor(kbar*k/n), k].
+    """Evaluate a deterministic curve of one of CURVE_KINDS on every integer
+    z of overlap_window(p, z_lo, z_hi), by default [floor(kbar*k/n), k].
 
     The window runs as one batch: A(z) comes from one log table per
-    binomial, computed once per p and overlap whatever the kind, and gamma
-    inverts h in lockstep, every value bit-identical to the per-point
-    function of its kind."""
-    if kind not in _KIND_EVAL:
+    binomial, and p keeps the last window's A(z), so a later kind on that
+    window or inside it computes none; gamma inverts h in lockstep, every
+    value bit-identical to the per-point function of its kind."""
+    if kind not in _KINDS:
         raise ParameterError(f"unknown curve kind {kind!r}")
+    evaluate, name, exponent = _KINDS[kind]
     window = overlap_window(p, z_lo, z_hi)
     a = _window_placements(p, window.start, window[-1])
-    values = tuple(_KIND_EVAL[kind](p, window, a))
-    scale = p.kbar**-1.5 if kind == "gamma-tilde-renorm" else 1.0
-    return OverlapCurve(params=p, kind=_KIND_NAMES[kind], z_lo=window.start, values=values,
-                        scale=scale)
+    return OverlapCurve(params=p, kind=name, z_lo=window.start,
+                        values=tuple(evaluate(p, window, a)), scale=p.kbar**exponent)
 
 
 # --- monotonicity classification -----------------------------------------

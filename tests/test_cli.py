@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -353,6 +354,8 @@ CONTRACT = [
     ("dense --predict --n 50 --K 10 --budget -1 --out d.json", EXIT_USAGE),
     ("d-curve --graph {g} --kbar 5 --method local --budget -1 --out d.csv", EXIT_USAGE),
     ("ogp --graph {g} --kbar 5 --method local --budget -1 --out o.json", EXIT_USAGE),
+    ("mcmc --graph {g} --kbar 5 --beta 1 --t-max 10 --out {g}", EXIT_USAGE),
+    ("hit --graph {g} --kbar 5 --beta 1 --t-max 10 --out h.json --trace-out ./{g}", EXIT_USAGE),
 ]
 
 
@@ -360,10 +363,12 @@ CONTRACT = [
 def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     assert main(["sample", "--out", "g.pcg"]) == 0
+    graph = (tmp_path / "g.pcg").read_bytes()
     capsys.readouterr()
     assert main(argv.format(g="g.pcg").split()) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert (tmp_path / "g.pcg").read_bytes() == graph
     if code == 0:
         assert err == ""
         return
@@ -411,14 +416,24 @@ def test_local_curve_names_the_seed_it_was_given(tmp_path, monkeypatch, capsys, 
 
 def test_every_benchmark_wrapped_function_exists():
     # the benchmark tracer getattr()s each of these at start-up, so a
-    # missing one fails every traced run
+    # missing one fails every traced run; its layer and work functions read
+    # arguments by name, so a renamed parameter fails every traced run too
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [(mod, name) for mod, name, _, _ in spans.WRAPPED
-               if not callable(getattr(importlib.import_module(f"plandscape.{mod}"), name, None))]
+    missing, read = [], []
+    for mod, name, layer, work in spans.WRAPPED:
+        fn = getattr(importlib.import_module(f"plandscape.{mod}"), name, None)
+        if not callable(fn):
+            missing.append((mod, name))
+            continue
+        params = inspect.signature(fn).parameters
+        for reader in (r for r in (layer, work) if callable(r)):
+            read += [(name, key, key in params) for key in
+                     re.findall(r'arguments\["(\w+)"\]', inspect.getsource(reader))]
     assert spans.WRAPPED and missing == []
+    assert read and [r for r in read if not r[2]] == []
 
 
 def test_help_available_for_all_subcommands(capsys):

@@ -111,6 +111,13 @@ def test_exhaustive_limit():
         is_flat(BitGraph.from_edges(5, []), 0.5, 0.2, mode="janky")
 
 
+def test_sampled_mode_rejects_a_negative_sample_count():
+    g = sample_conditioned(10, 0.5, 0)
+    with pytest.raises(ParameterError, match="^samples must be >= 0, got -1$"):
+        is_flat(g, 0.5, 0.2, mode="sampled", samples=-1)
+    assert is_flat(g, 0.5, 0.2, mode="sampled", samples=0).checked == "Sampled(0)"
+
+
 def test_exhaustive_agrees_with_gray_code_oracle():
     gamma, delta = 0.6, 0.2
     for seed in range(12):

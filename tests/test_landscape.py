@@ -478,11 +478,10 @@ def test_local_search_never_beats_exact():
     assert hits / 200 >= 0.95
 
 
-def scalar_local_search(g, kbar, z=None, restarts=1, seed=0, plateau=None):
+def scalar_local_search(g, kbar, z=None, restarts=1, seed=0):
     """Reference swap ascent: the scalar double loop over (u in, v out) per
     pool with first-strict-max tie-breaks.  Returns (value, members, restarts)."""
     n = g.n
-    plateau_budget = 2 * kbar if plateau is None else plateau
     rng = rng_from_seed(seed)
     if z is None:
         pools, takes = [list(range(n))], [kbar]
@@ -504,7 +503,7 @@ def scalar_local_search(g, kbar, z=None, restarts=1, seed=0, plateau=None):
         mask = mask_of(members)
         val = g.count_in_mask(mask)
         inside = set(members)
-        plateau_left = plateau_budget
+        plateau_left = 2 * kbar
         while True:
             best = None  # (delta, u, v)
             for pool in pools:
@@ -521,7 +520,7 @@ def scalar_local_search(g, kbar, z=None, restarts=1, seed=0, plateau=None):
             delta, u, v = best
             if delta < 0 or (delta == 0 and plateau_left <= 0):
                 break
-            plateau_left = plateau_left - 1 if delta == 0 else plateau_budget
+            plateau_left = plateau_left - 1 if delta == 0 else 2 * kbar
             inside.remove(u)
             inside.add(v)
             mask = (mask & ~(1 << u)) | (1 << v)
@@ -561,12 +560,11 @@ def search_cases(draw):
 
 
 @settings(max_examples=300)
-@given(search_cases(), st.integers(0, 5), st.integers(0, 2**16),
-       st.one_of(st.none(), st.integers(0, 3)))
-def test_local_search_matches_scalar_reference(case, restarts, seed, plateau):
+@given(search_cases(), st.integers(0, 5), st.integers(0, 2**16))
+def test_local_search_matches_scalar_reference(case, restarts, seed):
     g, kbar, z = case
-    r = local_search_densest(g, kbar, z=z, restarts=restarts, seed=seed, plateau=plateau)
-    ref = scalar_local_search(g, kbar, z=z, restarts=restarts, seed=seed, plateau=plateau)
+    r = local_search_densest(g, kbar, z=z, restarts=restarts, seed=seed)
+    ref = scalar_local_search(g, kbar, z=z, restarts=restarts, seed=seed)
     assert (r.value, r.witness.members, r.restarts_used) == ref
 
 
@@ -574,10 +572,9 @@ def test_local_search_matches_scalar_reference_on_planted_samples():
     for s in range(40):
         g = sample_planted(30, 6, s)
         for z in (None, 0, 3, 6):
-            for plateau in (None, 0):
-                r = local_search_densest(g, 8, z=z, restarts=s % 6, seed=s, plateau=plateau)
-                ref = scalar_local_search(g, 8, z=z, restarts=s % 6, seed=s, plateau=plateau)
-                assert (r.value, r.witness.members, r.restarts_used) == ref
+            r = local_search_densest(g, 8, z=z, restarts=s % 6, seed=s)
+            ref = scalar_local_search(g, 8, z=z, restarts=s % 6, seed=s)
+            assert (r.value, r.witness.members, r.restarts_used) == ref
 
 
 def test_local_search_feasibility_errors():

@@ -210,6 +210,12 @@ def test_chain_step_errors():
                   VertexSubset.from_iterable(range(4)))
 
 
+def test_run_chain_rejects_an_init_member_outside_the_graph():
+    with pytest.raises(ParameterError, match="^subset members out of range for n=14$"):
+        run_chain(sample_planted(14, 4, 0), MCMCConfig(beta=1.0, kbar=3, t_max=10, seed=0),
+                  VertexSubset((0, 1, 99)))
+
+
 def test_reflected_step_requires_band_state():
     g = sample_planted(12, 4, DIP_SEED)
     with pytest.raises(ParameterError):  # init above the reflecting roof

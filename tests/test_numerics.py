@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plandscape import numerics
+from plandscape.cli import build_parser
 from plandscape.errors import DomainError, ParameterError, UndefinedCurveError
 from plandscape.model import ModelParams
 from plandscape.numerics import (
@@ -552,6 +554,14 @@ def test_curve_grid_window_equals_per_point_functions(case):
             assert [v.hex() for v in curve_grid(p, kind, lo, hi).values] == want, kind
 
 
+def test_one_kind_list_for_library_cli_and_tests():
+    assert numerics.CURVE_KINDS == tuple(PER_POINT)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd in ("curve", "classify"):
+        kind = next(a for a in sub.choices[cmd]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == numerics.CURVE_KINDS, cmd
+
+
 def test_curve_at_zero_quadratic_gap_is_choose2():
     # kbar = 1 leaves M = C(kbar,2) - C(z,2) = 0 at z = 0 as well as at z = kbar
     p = ModelParams(10, 1, 1)
@@ -644,32 +654,41 @@ def test_curve_grid_memo_equals_fresh_params_in_any_call_order(triple, order):
         assert run[i].hex() == log_placements(p, start + i).hex()
 
 
-def test_curve_grid_memo_computes_only_missing_overlaps(monkeypatch):
+def test_curve_grid_memo_serves_windows_inside_the_last_one(monkeypatch):
     p = ModelParams(10**7, 400, 12_000)
     lo, hi = _window(p)
     asked = []
     real = numerics._log_binomials
 
     def spy(n, ks):
-        if n == p.k:
-            asked.append(list(ks))
+        asked.append((n, list(ks)))
         return real(n, ks)
 
-    def computed(kind, a, b):
+    def computed(q, kind, a, b):
+        """The overlaps curve_grid(q, kind, a, b) computes A(z) for."""
         asked.clear()
-        curve_grid(p, kind, a, b)
-        assert len(asked) <= 1  # one table per binomial and call
-        return asked[0] if asked else []
+        curve_grid(q, kind, a, b)
+        if not asked:
+            return []
+        zs = list(range(a, b + 1))  # computed whole, in one table per binomial
+        assert asked == [(q.k, zs), (q.n - q.k, [q.kbar - z for z in zs])]
+        return zs
 
     monkeypatch.setattr(numerics, "_log_binomials", spy)
-    assert computed("gamma", lo + 50, hi - 50) == list(range(lo + 50, hi - 49))
+    assert computed(p, "gamma", lo + 50, hi - 50) == list(range(lo + 50, hi - 49))
     for kind in KINDS:  # every kind reads the memo
-        assert computed(kind, lo + 60, hi - 60) == []
-    assert computed("phi", lo + 40, lo + 49) == list(range(lo + 40, lo + 50))  # adjacent below
-    assert computed("gamma-tilde", hi - 49, hi - 45) == list(range(hi - 49, hi - 44))  # above
-    assert computed("gamma", lo, hi) == [*range(lo, lo + 40), *range(hi - 44, hi + 1)]
+        assert computed(p, kind, lo + 60, hi - 60) == []
+    assert computed(p, "phi", lo + 50, lo + 50) == []
+    assert computed(p, "phi", lo + 40, lo + 49) == list(range(lo + 40, lo + 50))  # adjacent
+    assert (p._placements[0], len(p._placements[1])) == (lo + 40, 10)  # replaced, not spliced
+    assert computed(p, "gamma-tilde", lo + 60, hi - 60) == list(range(lo + 60, hi - 59))
+    assert computed(p, "gamma", lo, hi) == list(range(lo, hi + 1))  # overlapping
     assert len(p._placements[1]) == hi - lo + 1
-    assert computed("phi", lo, lo) == []
+    assert computed(p, "phi", lo, lo) == []
+    q = ModelParams(p.n, p.k, p.kbar)  # equal, but with its own memo
+    assert computed(q, "gamma", lo + 60, hi - 60) == list(range(lo + 60, hi - 59))
+    assert (p._placements[0], len(p._placements[1])) == (lo, hi - lo + 1)
+    assert computed(p, "phi", lo + 60, hi - 60) == []
 
 
 def test_curve_grid_memo_holds_at_most_one_value_per_overlap():
@@ -746,7 +765,7 @@ def test_curves_match_40_digit_mpmath(triple):
     # the last triple's window has sides kbar - z on both sides of 2^18
     p = ModelParams(*triple)
     lo, hi = _window(p)
-    curve_grid(p, "gamma-tilde", lo, (lo + hi) // 2)  # half the points come from the memo
+    curve_grid(p, "gamma-tilde", lo, (lo + hi) // 2)  # the full window then replaces it
     for kind in KINDS:
         curve = curve_grid(p, kind, lo, hi)
         for z in sorted({*range(lo, hi + 1, 9), hi}):
