@@ -16,6 +16,7 @@ from .model import BitGraph, mask_to_members, rng_from_seed
 from . import landscape
 
 EXHAUSTIVE_LIMIT = 22  # 2^K masks; beyond this only sampled mode runs
+_BLOCK = 1 << 12  # sampled subsets drawn and counted at a time; bounds their memory
 
 
 def subset_slack(K: int, ell: int, delta: float, gamma: float) -> float:
@@ -105,8 +106,10 @@ def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: 
         for i in np.flatnonzero(edges > thr[ell]):
             found.setdefault((ell, tuple(sorted(picks[i].tolist()))), float(edges[i] - thr[ell]))
 
-    for ell in range(2, K):  # the draws of one rng.permutation(K) per sample
-        check(ell, rng.permuted(np.tile(np.arange(K), (samples, 1)), axis=1)[:, :ell])
+    for ell in range(2, K):  # the draws of one rng.permutation(K) per sample, block by block
+        for lo in range(0, samples, _BLOCK):
+            rows = min(_BLOCK, samples - lo)
+            check(ell, rng.permuted(np.tile(np.arange(K), (rows, 1)), axis=1)[:, :ell])
     step = max(1, K // 10)
     for ell in range(2, K, step):
         res = landscape.local_search_densest(g, ell, restarts=2, seed=seed)

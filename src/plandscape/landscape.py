@@ -5,6 +5,7 @@ first-moment expectation machinery and the ER densest-K-subgraph prediction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,20 +192,29 @@ def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=Fals
     + C(r,2); candidates go in decreasing degree, so near-clique optima prune
     almost everything.  With `ties`, a tie goes to the lexicographically
     smaller witness, so a branch that can only tie is searched while its
-    smallest completion sorts below the incumbent's."""
+    smallest completion sorts below the incumbent's.
+
+    A child whose own first bound already fails is settled at its parent:
+    the parent counts it as a node, under the same budget check, and never
+    enters it, so the tree, the node count and the witness are those of
+    the plain recursion."""
     if budget < 0:
         raise ParameterError(f"node budget must be >= 0, got {budget}")
     best_val, best_members, nodes = best
     cr2 = [r * (r - 1) // 2 for r in range(K + 1)]
     floor = 0 if ties else 1  # a branch must reach best_val + floor
 
-    def recurse(cand, d_in, chosen, edges):
-        nonlocal best_val, best_members, nodes
+    def count():
+        nonlocal nodes
         nodes += 1
         if nodes > budget:
             so_far = best_val if best_val >= 0 else "none"
             raise BudgetError(f"branch-and-bound exceeded node budget {budget}: "
                               f"{nodes - 1} nodes explored, best value so far {so_far}")
+
+    def recurse(cand, d_in, chosen, edges):
+        nonlocal best_val, best_members
+        count()
         r = K - len(chosen)
         if r == 0:
             if edges > best_val or (ties and edges == best_val and tuple(sorted(chosen)) < best_members):
@@ -215,22 +225,36 @@ def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=Fals
         srt = np.argsort(-d_in, kind="stable")
         cand = cand[srt]
         d_in = d_in[srt]
-        suffix_top = np.cumsum(d_in)  # sum of the i+1 largest degrees
-        for i in range(len(cand) - r + 1):
+        deg = d_in.tolist()
+        top = np.cumsum(d_in).tolist()  # sum of the i+1 largest degrees
+        neg = (-d_in).tolist()  # ascending, for bisect
+        rc = r - 1  # a child's slots
+        for i in range(len(cand) - rc):
             # optimistic sibling bound, nonincreasing in i: each later vertex
             # can add at most one edge to cand[i] on top of its current degree
-            top_rest = suffix_top[i + r - 1] - suffix_top[i] if r > 1 else 0
-            bound = edges + d_in[i] + top_rest + (r - 1) + cr2[r - 1]
+            bound = edges + deg[i] + top[i + rc] - top[i] + rc + cr2[rc]
             if bound < best_val + floor:
                 break
             v = int(cand[i])
             if ties and bound == best_val and tuple(sorted(  # a tie needs a smaller witness
-                    [*chosen, v, *np.sort(cand[i + 1 :])[: r - 1].tolist()])) >= best_members:
+                    [*chosen, v, *np.sort(cand[i + 1 :])[:rc].tolist()])) >= best_members:
                 continue
             child_cand = cand[i + 1 :]
-            child_d = d_in[i + 1 :] + adj[v, child_cand]
+            row = adj[v][child_cand]
+            if rc:
+                # The child's first bound is this one with its rc unit
+                # credits replaced by the gain of its rc largest degrees
+                # d + A_v over d: the ones above t = deg[i + rc], plus at
+                # most the slots those leave of the run tied at t.
+                hits = row.tolist()
+                above = bisect_left(neg, neg[i + rc], i + 1) - i - 1
+                tied = bisect_right(neg, neg[i + rc], i + 1) - i - 1
+                gain = sum(hits[:above]) + min(sum(hits[above:tied]), rc - above)
+                if bound - rc + gain < best_val + floor:
+                    count()
+                    continue
             chosen.append(v)
-            recurse(child_cand, child_d, chosen, edges + int(d_in[i]))
+            recurse(child_cand, d_in[i + 1 :] + row, chosen, edges + deg[i])
             chosen.pop()
 
     recurse(cand, d_in, list(chosen), edges)
@@ -283,6 +307,11 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
     plateau budget of 2*kbar consecutive ones to escape ties.  Best value
     over `restarts` seeded starts; restarts=0 scores the seeded initial
     subset as-is.
+
+    The swap taken depends on the current set alone, so once a set repeats
+    within a plateau the walk cycles until its budget runs out: the sweep
+    jumps straight to the set where it would stop, the same result as
+    walking the cycle.
     """
     n = g.n
     if not 1 <= kbar <= n or restarts < 0:
@@ -332,8 +361,15 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
         val = int(e.dot(x)) // 2
         e[x] += neg
         plateau_left = 2 * kbar
+        path, seen = [], {}  # the sets since the last strict gain; first index of each
         while True:
             ins = x.nonzero()[0]
+            key = ins.tobytes()
+            j = seen.setdefault(key, len(path))
+            if j < len(path):  # a repeat: the walk cycles through path[j:] until the budget runs out
+                ins = np.frombuffer(path[j + plateau_left % (len(path) - j)], dtype=ins.dtype)
+                return val, tuple(sorted(order[ins].tolist()))
+            path.append(key)
             score = base.take(ins, axis=0)
             score += e
             score -= e.take(ins)[:, None]
@@ -341,7 +377,10 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
             delta = score.item(best)
             if delta < 0 or (delta == 0 and plateau_left <= 0):
                 break
-            plateau_left = plateau_left - 1 if delta == 0 else 2 * kbar
+            if delta:
+                plateau_left, path, seen = 2 * kbar, [], {}
+            else:
+                plateau_left -= 1
             u, v = ins.item(best // n), best % n
             x[u], x[v] = False, True
             e += arows[v] - arows[u]

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from plandscape import flatness
 from plandscape.errors import DomainError, ParameterError
 from plandscape.flatness import _thresholds, is_flat, sample_conditioned, subset_slack
 from plandscape.landscape import local_search_densest
@@ -118,6 +120,20 @@ def test_sampled_mode_rejects_a_negative_sample_count():
     assert is_flat(g, 0.5, 0.2, mode="sampled", samples=0).checked == "Sampled(0)"
 
 
+def test_sampled_mode_memory_does_not_grow_with_samples():
+    # draws are made and counted a block of rows at a time
+    g = sample_conditioned(20, 0.6, 0)
+    peaks = []
+    for samples in (10**4, 4 * 10**4):
+        tracemalloc.start()
+        try:
+            is_flat(g, 0.6, 0.2, mode="sampled", samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_exhaustive_agrees_with_gray_code_oracle():
     gamma, delta = 0.6, 0.2
     for seed in range(12):
@@ -160,12 +176,15 @@ def scalar_sampled_violations(g, gamma, delta, samples, seed):
 
 @pytest.mark.parametrize("K,density,gamma", [
     (3, 0.6, 0.6), (12, 0.9, 0.5), (20, 1.0, 0.3), (30, 0.8, 0.3), (40, 0.9, 0.4)])
-def test_sampled_mode_matches_scalar_reference(K, density, gamma):
+def test_sampled_mode_matches_scalar_reference(K, density, gamma, monkeypatch):
     for seed in range(3):
         g = sample_conditioned(K, density, seed)
         for samples in (0, 1, 10):
-            rep = is_flat(g, gamma, 0.2, mode="sampled", samples=samples, seed=seed)
-            assert list(rep.violations) == scalar_sampled_violations(g, gamma, 0.2, samples, seed)
+            ref = scalar_sampled_violations(g, gamma, 0.2, samples, seed)
+            for block in (flatness._BLOCK, 3):  # 3: draws split over several blocks
+                monkeypatch.setattr(flatness, "_BLOCK", block)
+                rep = is_flat(g, gamma, 0.2, mode="sampled", samples=samples, seed=seed)
+                assert list(rep.violations) == ref, block
 
 
 def test_sample_conditioned_edges_exact():

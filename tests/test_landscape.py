@@ -1,12 +1,17 @@
+import importlib.util
+import json
 import math
+import pathlib
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plandscape
 from plandscape import landscape, model
 from plandscape.errors import BudgetError, DomainError, ParameterError
+from plandscape.flatness import sample_conditioned
 from plandscape.landscape import (
     EXHAUSTIVE,
     LOCAL_SEARCH,
@@ -293,6 +298,81 @@ def test_kbar_subsets_scan_blocks_in_lexicographic_order():
             kbar_subsets(wide, kbar, 10)
 
 
+def reference_branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=False):
+    """The plain recursion: every child is entered and counts itself, and a
+    child whose first bound fails breaks at once.  Same contract as
+    landscape._branch_and_bound."""
+    best_val, best_members, nodes = best
+    cr2 = [r * (r - 1) // 2 for r in range(K + 1)]
+    floor = 0 if ties else 1
+
+    def recurse(cand, d_in, chosen, edges):
+        nonlocal best_val, best_members, nodes
+        nodes += 1
+        if nodes > budget:
+            so_far = best_val if best_val >= 0 else "none"
+            raise BudgetError(f"branch-and-bound exceeded node budget {budget}: "
+                              f"{nodes - 1} nodes explored, best value so far {so_far}")
+        r = K - len(chosen)
+        if r == 0:
+            if edges > best_val or (ties and edges == best_val and tuple(sorted(chosen)) < best_members):
+                best_val, best_members = edges, tuple(sorted(chosen))
+            return
+        if len(cand) < r:
+            return
+        srt = np.argsort(-d_in, kind="stable")
+        cand = cand[srt]
+        d_in = d_in[srt]
+        suffix_top = np.cumsum(d_in)
+        for i in range(len(cand) - r + 1):
+            top_rest = suffix_top[i + r - 1] - suffix_top[i] if r > 1 else 0
+            bound = edges + d_in[i] + top_rest + (r - 1) + cr2[r - 1]
+            if bound < best_val + floor:
+                break
+            v = int(cand[i])
+            if ties and bound == best_val and tuple(sorted(
+                    [*chosen, v, *np.sort(cand[i + 1 :])[: r - 1].tolist()])) >= best_members:
+                continue
+            child_cand = cand[i + 1 :]
+            child_d = d_in[i + 1 :] + adj[v, child_cand]
+            chosen.append(v)
+            recurse(child_cand, child_d, chosen, edges + int(d_in[i]))
+            chosen.pop()
+
+    recurse(cand, d_in, list(chosen), edges)
+    return best_val, best_members, nodes
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_branch_and_bound_matches_the_plain_recursion_node_for_node(data):
+    # settling a dead child at its parent must keep the tree: the same
+    # value, witness and node count, or the same BudgetError message
+    n = data.draw(st.integers(1, 30))
+    density = data.draw(st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    adj = (upper | upper.T).astype(np.int64)
+    K = data.draw(st.integers(1, min(n, 10)))
+    fixed = rng.permutation(n)[: data.draw(st.integers(0, min(K, 3)))].tolist()
+    cand = np.array([v for v in rng.permutation(n).tolist() if v not in fixed], dtype=np.intp)
+    if data.draw(st.booleans()):  # densest_subgraph's pool order
+        cand = cand[np.argsort(-adj[cand].sum(axis=1), kind="stable")]
+    d_in = adj[fixed][:, cand].sum(axis=0)
+    edges = int(adj[np.ix_(fixed, fixed)].sum()) // 2
+    best = (data.draw(st.integers(-1, K * (K - 1) // 2)),
+            tuple(sorted(rng.permutation(n)[:K].tolist())), data.draw(st.integers(0, 5)))
+    budget = data.draw(st.one_of(st.integers(0, 60), st.just(3000)))
+    ties = data.draw(st.booleans())
+    outcome = []
+    for kernel in (landscape._branch_and_bound, reference_branch_and_bound):
+        try:
+            outcome.append(kernel(adj, cand, d_in, edges, tuple(fixed), K, best, budget, ties=ties))
+        except BudgetError as exc:
+            outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
+
+
 def test_max_over_z_equals_unconstrained():
     # the last two are past enumeration's reach: C(50, 10) is 1e10 subsets
     for n, k, kbar, seeds in [(14, 4, 5, range(10)), (40, 6, 8, range(3)), (50, 7, 10, range(3))]:
@@ -577,6 +657,26 @@ def test_local_search_matches_scalar_reference_on_planted_samples():
             assert (r.value, r.witness.members, r.restarts_used) == ref
 
 
+def test_local_search_matches_scalar_reference_at_flatness_scale():
+    # plateau walks long enough to cycle: sampled flatness's witness
+    # searches, and graphs where every swap ties
+    for K in (38, 42):
+        for s in range(3):
+            g = sample_conditioned(K, 0.6, s)
+            for ell in (K // 2, K - 2):
+                r = local_search_densest(g, ell, restarts=2, seed=s)
+                assert (r.value, r.witness.members, r.restarts_used) == \
+                    scalar_local_search(g, ell, restarts=2, seed=s), (K, s, ell)
+    for rows in (BitGraph.from_edges(24, []).rows,
+                 BitGraph.from_edges(24, combinations(range(24), 2)).rows):
+        g = PlantedGraph(n=24, rows=rows, planted=(1, 4, 6, 9, 13, 17, 20))
+        for kbar, z in ((10, 0), (10, 3), (10, 7), (20, 5)):
+            for seed in range(3):
+                r = local_search_densest(g, kbar, z=z, restarts=3, seed=seed)
+                assert (r.value, r.witness.members, r.restarts_used) == \
+                    scalar_local_search(g, kbar, z=z, restarts=3, seed=seed), (kbar, z, seed)
+
+
 def test_local_search_feasibility_errors():
     g = sample_planted(10, 3, 0)
     with pytest.raises(ParameterError):
@@ -621,3 +721,19 @@ def test_error_exponent_reporting_formula():
     assert error_exponent_bound(0.49) < 1.5
     with pytest.raises(DomainError):
         error_exponent_bound(0.5)
+
+
+def test_desk_exact_outputs_match_the_benchmark_reference():
+    # pass 0 of the desk_exact benchmark workload on both shipped seeds, run
+    # in-process: a changed witness or value fails here, not only in a
+    # benchmark run; perfbench/workloads.py is read, never modified
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ref = json.loads((path / "reference.json").read_text())["desk_exact"]
+    wl = workloads.WORKLOADS["desk_exact"]
+    for seed in (0, 1):
+        for i, inp in enumerate(wl.pass_inputs(seed, 0)):
+            got = workloads.digest(wl.values(inp, wl.run(plandscape, inp, {}), {}))
+            assert got == ref[str(seed)][str(i)], (seed, i)
