@@ -13,6 +13,7 @@ nodes for dense, d-curve and ogp; subsets for few).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -212,6 +213,8 @@ def _uniform_init(g, args):
 def _cmd_hit(args):
     g = load_graph(args.graph)
     cfg = _chain_config(args)
+    if not args.trace_out:  # no trace is written, so sample only its ends
+        cfg = dataclasses.replace(cfg, stride=max(args.t_max, 1))
     trace = mcmc.hitting_time(g, cfg)
     threshold = mcmc.beta_scale_threshold(g.n, args.kbar)
     files = {args.out: _json({

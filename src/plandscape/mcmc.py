@@ -64,6 +64,9 @@ class MCMCConfig:
 
     def __post_init__(self):
         _check_beta(self.beta)
+        for name in ("kbar", "t_max", "stride"):
+            if type(getattr(self, name)) is not int:  # no float, bool or numpy int
+                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.kbar < 1 or self.t_max < 0 or self.stride < 1:
             raise ParameterError("need kbar >= 1, t_max >= 0, stride >= 1")
         _check_wells(self.d1, self.d2)
@@ -123,12 +126,16 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
 
     Each step proposes a uniform (u in, v out) swap and accepts it with
     probability min(1, exp(beta * delta_edges)).  With max_overlap set, a
-    proposal that would raise the overlap above it is a self-loop drawn
-    before any acceptance test (the reflected chain, reversible for pi_beta
-    conditioned on overlap <= max_overlap); init must lie in that band.
-    stop_above turns the run into a hitting-time measurement.  Randomness is
-    drawn in fixed-size blocks from Philox(seed), so identical configs give
-    bit-identical traces regardless of stride or stopping."""
+    proposal that would raise the overlap above it is a self-loop (the
+    reflected chain, reversible for pi_beta conditioned on
+    overlap <= max_overlap); init must lie in that band.  stop_above turns
+    the run into a hitting-time measurement; count_visits counts the steps
+    t >= 1 that end at each mask, keyed in first-visit order.  Philox(seed)
+    draws the u and v indices of a block of up to 2^15 steps whole, then
+    its uniforms a slice at a time (64 steps, growing 4x up to 4096): a
+    uniform takes one 64-bit word, so the stream is that of one draw per
+    block and a run that stops early draws no more.  Identical configs
+    give bit-identical traces regardless of stride or stopping."""
     n, kbar = g.n, cfg.kbar
     if init.size != kbar:
         raise ParameterError(f"init size {init.size} != kbar {kbar}")
@@ -146,54 +153,77 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
     if max_overlap is not None and ov > max_overlap:
         raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")
 
-    table = acceptance(cfg.beta, kbar)  # avoids exp() in the loop
+    # acc[d] for d in -kbar..kbar (a negative d wraps); acc[d] = 1.0 > r for d >= 0
+    table = acceptance(cfg.beta, kbar)
+    acc = [table[d] for d in range(kbar + 1)] + [table[d] for d in range(-kbar, 0)]
+    bit = [1 << v for v in range(n)]
+    planted = [pmask >> v & 1 for v in range(n)]
 
-    times, overlaps_rec, edges_rec = [0], [ov], [edges]
+    overlaps_rec, edges_rec = [ov], [edges]
     visits: dict | None = {} if count_visits else None
     hit_time = None
     stride, t_max = cfg.stride, cfg.t_max
     # overlaps never exceed n, so n stands for "no roof" and "never stop"
     roof = n if max_overlap is None else max_overlap
     stop = n if stop_above is None else stop_above
+    # stride 1 records inline, every step; a longer stride records on the
+    # accepts, the samples due since the last one all holding the state left
+    every = stride == 1
+    nxt = t_max + 1 if every else stride  # next sample time not yet recorded
+    entered = 1  # first step after which the chain sat at mask
+    # a start above stop is a hit at step 1 unless that step moves it back
+    # down, so it is run as a slice of its own and tested after it
+    size = 1 if ov > stop else 64
     t = 0
-    done = False
-    while t < t_max and not done:
+    while t < t_max and hit_time is None:
         block = min(_BLOCK, t_max - t)
         ui = rng.integers(0, kbar, size=block)
         vi = rng.integers(0, n - kbar, size=block)
-        uni = rng.random(size=block)
-        for lo in range(0, block, _SLICE):
-            if done:
-                break
-            hi = lo + _SLICE
-            for a, b, r in zip(ui[lo:hi].tolist(), vi[lo:hi].tolist(), uni[lo:hi].tolist()):
-                t += 1
+        lo = 0
+        while lo < block:
+            hi = min(lo + size, block)
+            size = min(4 * size, _SLICE)
+            for t, a, b, r in zip(range(t + 1, t + 1 + hi - lo), ui[lo:hi].tolist(),
+                                  vi[lo:hi].tolist(), rng.random(hi - lo).tolist()):
                 u = in_list[a]
                 v = out_list[b]
-                new_ov = ov - (pmask >> u & 1) + (pmask >> v & 1)
-                if new_ov <= roof:
-                    m2 = mask ^ (1 << u)
-                    d = (rows[v] & m2).bit_count() - (rows[u] & mask).bit_count()
-                    if d >= 0 or r < table[d]:
-                        mask = m2 | (1 << v)
+                m2 = mask ^ bit[u]
+                d = (rows[v] & m2).bit_count() - (rows[u] & mask).bit_count()
+                if r < acc[d]:
+                    new_ov = ov - planted[u] + planted[v]
+                    if new_ov <= roof:
+                        if nxt < t:  # samples due before t hold the state being left
+                            k = (t - 1 - nxt) // stride + 1
+                            overlaps_rec += [ov] * k
+                            edges_rec += [edges] * k
+                            nxt += k * stride
+                        if visits is not None and t > entered:
+                            visits[mask] = visits.get(mask, 0) + t - entered
+                        entered = t
+                        mask = m2 | bit[v]
                         in_list[a] = v
                         out_list[b] = u
                         edges += d
                         ov = new_ov
-                if visits is not None:
-                    visits[mask] = visits.get(mask, 0) + 1
-                if t % stride == 0:
-                    times.append(t)
+                        if ov > stop:
+                            break
+                if every:
                     overlaps_rec.append(ov)
                     edges_rec.append(edges)
-                if ov > stop:
-                    hit_time = t
-                    if t % stride:
-                        times.append(t)
-                        overlaps_rec.append(ov)
-                        edges_rec.append(edges)
-                    done = True
-                    break
+            if ov > stop:
+                hit_time = t
+                break
+            lo = hi
+    k = t // stride + 1 - len(overlaps_rec)  # samples due up to t, all at the final state
+    overlaps_rec += [ov] * k
+    edges_rec += [edges] * k
+    times = list(range(0, t + 1, stride))
+    if hit_time is not None and t % stride:
+        times.append(t)
+        overlaps_rec.append(ov)
+        edges_rec.append(edges)
+    if visits is not None and t >= entered:
+        visits[mask] = visits.get(mask, 0) + t + 1 - entered
     return ChainTrace(times=times, overlaps=overlaps_rec, edges=edges_rec,
                       hit_time=hit_time, final_state=VertexSubset.from_iterable(in_list),
                       t_max=cfg.t_max, visits=visits)

@@ -189,6 +189,31 @@ def test_hit_json_and_few(tmp_path):
     assert few["ln_ratio"] is not None
 
 
+def test_hit_without_a_trace_file_keeps_no_trace(tmp_path):
+    # hit.json is the same with or without --trace-out, and without it the
+    # run holds no per-step trace: a censored 60,000-step run (d2 = 100 puts
+    # the band roof above k) peaks under 1 MB, where the stride-1 trace
+    # alone would add about 3 MB
+    import tracemalloc
+
+    g = tmp_path / "g.pcg"
+    main(["sample", "--n", "12", "--k", "4", "--seed", "30", "--out", str(g)])
+    args = ["hit", "--graph", str(g), "--kbar", "4", "--beta", "0.5", "--t-max", "60000",
+            "--d2", "100", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "a.json"),
+                        "--trace-out", str(tmp_path / "tr.csv")]) == 0
+    assert len(read_csv(tmp_path / "tr.csv")[1]) == 60001
+    tracemalloc.start()
+    try:
+        assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "b.json").read_text())["censored"] is True
+    assert peak < 2e6, peak
+
+
 # one run of every file-writing subcommand: {g} is the input graph, {out}
 # and {trace} the output paths
 WRITERS = {

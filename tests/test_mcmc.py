@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
 import statistics
+import sys
 from collections import Counter
 from itertools import compress
 
@@ -9,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import plandscape
+from plandscape import mcmc
 from plandscape.errors import BudgetError, ParameterError
 from plandscape.landscape import densest_with_overlap, kbar_subsets
 from plandscape.mcmc import (
@@ -16,6 +21,7 @@ from plandscape.mcmc import (
     ExactGibbs,
     MCMCConfig,
     WellPartition,
+    acceptance,
     conditional_init,
     exact_gibbs,
     free_energy_well_ratio,
@@ -329,6 +335,142 @@ def test_run_chain_trace_matches_golden_digest(case):
     assert (tr.hit_time == 736) == (case == "stop_above")
 
 
+def reference_run_chain(g, cfg, init, max_overlap=None, stop_above=None, count_visits=False):
+    """The plain step loop, kept as the oracle of run_chain: every step draws
+    from whole-block arrays, counts its visit and tests stride and stop."""
+    n, kbar = g.n, cfg.kbar
+    if init.size != kbar:
+        raise ParameterError(f"init size {init.size} != kbar {kbar}")
+    if kbar >= n:
+        raise ParameterError("no swap neighbors when kbar = n")
+    rng = rng_from_seed(cfg.seed)
+    rows = g.rows
+    pmask = g.planted_mask
+    mask = init.mask
+    in_list = list(init.members)
+    out_list = [v for v in range(n) if not mask >> v & 1]
+    edges = edge_count(g, init)
+    ov = (mask & pmask).bit_count()
+    if max_overlap is not None and ov > max_overlap:
+        raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")
+    table = acceptance(cfg.beta, kbar)
+    times, overlaps_rec, edges_rec = [0], [ov], [edges]
+    visits = {} if count_visits else None
+    hit_time = None
+    stride, t_max = cfg.stride, cfg.t_max
+    roof = n if max_overlap is None else max_overlap
+    stop = n if stop_above is None else stop_above
+    t = 0
+    done = False
+    while t < t_max and not done:
+        block = min(mcmc._BLOCK, t_max - t)
+        ui = rng.integers(0, kbar, size=block)
+        vi = rng.integers(0, n - kbar, size=block)
+        uni = rng.random(size=block)
+        for a, b, r in zip(ui.tolist(), vi.tolist(), uni.tolist()):
+            t += 1
+            u = in_list[a]
+            v = out_list[b]
+            new_ov = ov - (pmask >> u & 1) + (pmask >> v & 1)
+            if new_ov <= roof:
+                m2 = mask ^ (1 << u)
+                d = (rows[v] & m2).bit_count() - (rows[u] & mask).bit_count()
+                if d >= 0 or r < table[d]:
+                    mask = m2 | (1 << v)
+                    in_list[a] = v
+                    out_list[b] = u
+                    edges += d
+                    ov = new_ov
+            if visits is not None:
+                visits[mask] = visits.get(mask, 0) + 1
+            if t % stride == 0:
+                times.append(t)
+                overlaps_rec.append(ov)
+                edges_rec.append(edges)
+            if ov > stop:
+                hit_time = t
+                if t % stride:
+                    times.append(t)
+                    overlaps_rec.append(ov)
+                    edges_rec.append(edges)
+                done = True
+                break
+    return ChainTrace(times=times, overlaps=overlaps_rec, edges=edges_rec,
+                      hit_time=hit_time, final_state=VertexSubset.from_iterable(in_list),
+                      t_max=cfg.t_max, visits=visits)
+
+
+def chain_outcome(kernel, g, cfg, init, **kwargs):
+    """Every trace field, visits in insertion order, or the error raised."""
+    try:
+        tr = kernel(g, cfg, init, **kwargs)
+    except ParameterError as exc:
+        return "ParameterError", str(exc)
+    return (tr.times, tr.overlaps, tr.edges, tr.hit_time, tr.final_state.members, tr.t_max,
+            None if tr.visits is None else list(tr.visits.items()))
+
+
+def assert_chain_matches_reference(g, cfg, init, **kwargs):
+    got = chain_outcome(run_chain, g, cfg, init, **kwargs)
+    assert got == chain_outcome(reference_run_chain, g, cfg, init, **kwargs)
+    return got
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_run_chain_matches_the_plain_step_loop(data):
+    # run-length visits, accept-time samples and stop tests, and uniforms
+    # drawn slice by slice must give the trace of the step-by-step loop
+    n = data.draw(st.integers(2, 40))
+    g = sample_planted(n, data.draw(st.integers(1, min(n, 8))), data.draw(st.integers(0, 999)))
+    kbar = data.draw(st.integers(1, n))
+    init = VertexSubset.from_iterable(data.draw(st.permutations(range(n)))[:kbar])
+    ov = len(set(init.members) & set(g.planted))
+    cfg = MCMCConfig(
+        beta=data.draw(st.sampled_from([0.0, 0.3, 1.0, 2.0, 50.0, 1e300])), kbar=kbar,
+        t_max=data.draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 6000),
+                                  st.integers(mcmc._BLOCK - 3, mcmc._BLOCK + 300))),
+        seed=data.draw(st.integers(0, 2**32)),
+        stride=data.draw(st.one_of(st.sampled_from([1, 2, 3, 7, 64, 100, mcmc._SLICE, 5000]),
+                                   st.integers(1, 300))))
+    assert_chain_matches_reference(
+        g, cfg, init,
+        max_overlap=data.draw(st.one_of(st.none(), st.integers(ov - 1, ov + 2))),
+        stop_above=data.draw(st.one_of(st.none(), st.integers(ov - 2, ov + 2))),
+        count_visits=data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("stride", [1, 3, 64])
+@pytest.mark.parametrize("stop_above", [None, 0, 1])
+def test_run_chain_matches_the_plain_step_loop_from_an_accepted_first_step(stride, stop_above):
+    # beta = 0 with no roof accepts every proposal, step 1 included, and the
+    # small state space revisits the start mask; a start at overlap 2 lies
+    # above either stop
+    g = sample_planted(6, 3, 2)
+    init = VertexSubset.from_iterable([v for v in range(6) if v in g.planted][:2])
+    got = assert_chain_matches_reference(g, MCMCConfig(beta=0.0, kbar=2, t_max=300, seed=4, stride=stride),
+                                         init, stop_above=stop_above, count_visits=True)
+    visits = dict(got[-1])
+    assert next(iter(visits)) != init.mask  # step 1 left the start
+    if stop_above is None:
+        assert init.mask in visits  # and came back later
+
+
+def test_run_chain_start_above_stop_hits_at_step_one():
+    # from the planted triangle every step keeps the overlap >= 2 > stop, so
+    # step 1 is the hit whether it is accepted or (at beta = 50, mostly)
+    # rejected and no accept ever tests the stop
+    g = sample_planted(10, 3, 1)
+    init = VertexSubset(g.planted)
+    rejected = 0
+    for seed in range(20):
+        cfg = MCMCConfig(beta=50.0, kbar=3, t_max=500, seed=seed, stride=7)
+        got = assert_chain_matches_reference(g, cfg, init, stop_above=1, count_visits=True)
+        assert got[3] == 1 and got[0] == [0, 1]
+        rejected += got[4] == init.members
+    assert rejected > 10
+
+
 # --- exact Gibbs ---------------------------------------------------------------
 
 
@@ -406,6 +548,39 @@ def test_beta_must_be_finite_and_non_negative():
     with pytest.raises(ParameterError, match="overflows"):
         exact_gibbs(g, 5, 1e308)  # C(5, 2) * 1e308 is inf
     assert np.isfinite(exact_gibbs(g, 5, 1e307).log_weights).all()
+
+
+@pytest.mark.parametrize("field, value", [("kbar", 5.0), ("t_max", 10.5), ("stride", 2.5),
+                                          ("stride", True), ("t_max", np.int64(10))])
+def test_mcmc_config_needs_int_sizes(field, value):
+    # a float stride used to sample at t = 5, 10, ...; a float t_max or kbar
+    # failed inside numpy with a bare TypeError
+    sizes = {"kbar": 5, "t_max": 10, "stride": 1, field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must be an int, got "):
+        MCMCConfig(beta=1.0, seed=0, **sizes)
+
+
+def test_desk_chain_outputs_match_the_benchmark_reference(monkeypatch):
+    # pass 0 of the desk_chain benchmark workload on both shipped seeds, its
+    # prologue included, run in-process: a changed trace, hit time or visit
+    # count fails here, not only in a benchmark run; perfbench is read only
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    modules = {}
+    for name in ("workloads", "worker"):  # worker.py imports workloads by name
+        spec = importlib.util.spec_from_file_location(name, path / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    workloads, worker = modules["workloads"], modules["worker"]
+    ref = json.loads((path / "reference.json").read_text())["desk_chain"]
+    wl = workloads.WORKLOADS["desk_chain"]
+    for seed in (0, 1):
+        pro = wl.prologue(plandscape, worker.prologue_seed(seed, 0))
+        got = workloads.digest(worker.plain(wl.prologue_values(pro)))
+        assert got == ref[str(seed)]["0:prologue"], seed
+        for i, inp in enumerate(wl.pass_inputs(seed, 0)):
+            got = workloads.digest(worker.plain(wl.values(inp, wl.run(plandscape, inp, {}), {})))
+            assert got == ref[str(seed)][str(i)], (seed, i)
 
 
 def test_exact_gibbs_prob_of_rejects_masks_off_the_state_space():
