@@ -18,7 +18,6 @@ from .errors import (
 from .model import (
     BitGraph,
     ModelParams,
-    PlantedGraph,
     VertexSubset,
     edge_count,
     load_graph,

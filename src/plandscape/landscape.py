@@ -15,7 +15,6 @@ from .errors import BudgetError, DomainError, ParameterError
 from .model import (
     BitGraph,
     ModelParams,
-    PlantedGraph,
     VertexSubset,
     check_overlap,
     edge_count,
@@ -142,7 +141,7 @@ def induced_edges(g: BitGraph, c: np.ndarray) -> np.ndarray:
     return np.bitwise_count(g.words[c] & words[:, None, :]).sum(axis=(1, 2), dtype=np.int64) // 2
 
 
-def kbar_subsets(g: PlantedGraph, kbar: int, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
+def kbar_subsets(g: BitGraph, kbar: int, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Every kbar-subset of g's vertices once, in lexicographic order: their
     Python-int bitmasks and int64 arrays of their induced edge counts and
     overlaps with the planted set.  BudgetError at the call, before any
@@ -261,7 +260,7 @@ def _branch_and_bound(adj, cand, d_in, edges, chosen, K, best, budget, ties=Fals
     return best_val, best_members, nodes
 
 
-def densest_with_overlap(g: PlantedGraph, kbar: int, z: int,
+def densest_with_overlap(g: BitGraph, kbar: int, z: int,
                          budget: int = NODE_BUDGET) -> DensestResult:
     """Exact maximum edge count over kbar-subsets with overlap exactly z, by
     branch and bound over the non-planted vertices per planted z-subset (the
@@ -303,10 +302,11 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
 
     Each sweep applies the best single swap (one vertex out, one in); when z
     is fixed, swaps stay within the planted part and within the non-planted
-    part so the overlap never changes.  Equal-value swaps are taken up to a
-    plateau budget of 2*kbar consecutive ones to escape ties.  Best value
-    over `restarts` seeded starts; restarts=0 scores the seeded initial
-    subset as-is.
+    part so the overlap never changes; on a plain graph (k = 0) only z = 0
+    is feasible, and it searches as z = None does.  Equal-value swaps are
+    taken up to a plateau budget of 2*kbar consecutive ones to escape ties.
+    Best value over `restarts` seeded starts; restarts=0 scores the seeded
+    initial subset as-is.
 
     The swap taken depends on the current set alone, so once a set repeats
     within a plateau the walk cycles until its budget runs out: the sweep
@@ -317,8 +317,6 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
     if not 1 <= kbar <= n or restarts < 0:
         raise ParameterError(f"need 1 <= kbar <= n, restarts >= 0, got {kbar}, {restarts}")
     if z is not None:
-        if not isinstance(g, PlantedGraph):
-            raise ParameterError("overlap-constrained search needs a planted graph")
         check_overlap(z, feasible_overlaps(n, g.k, kbar))
 
     rng = rng_from_seed(seed)

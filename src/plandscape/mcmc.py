@@ -19,7 +19,7 @@ from itertools import compress, permutations
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .model import ModelParams, PlantedGraph, VertexSubset, edge_count, mask_to_members, rng_from_seed
+from .model import BitGraph, ModelParams, VertexSubset, edge_count, mask_to_members, rng_from_seed
 from .landscape import SUBSET_BUDGET, kbar_subsets
 from .numerics import log_placements
 
@@ -105,7 +105,7 @@ class ChainTrace:
     visits: dict | None = field(default=None, repr=False)
 
 
-def gibbs_log_weight(g: PlantedGraph, s: VertexSubset, beta: float,
+def gibbs_log_weight(g: BitGraph, s: VertexSubset, beta: float,
                      kbar: int | None = None) -> float:
     """ln pi_beta(s) + ln Z = beta * |E[s]|; the partition function is never
     touched here."""
@@ -119,7 +119,7 @@ def acceptance(beta: float, kbar: int) -> dict:
     return {d: math.exp(min(0.0, beta * d)) for d in range(-kbar, kbar + 1)}
 
 
-def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
+def run_chain(g: BitGraph, cfg: MCMCConfig, init: VertexSubset,
               max_overlap: int | None = None, stop_above: int | None = None,
               count_visits: bool = False) -> ChainTrace:
     """Run the chain for t_max steps (or until overlap exceeds stop_above).
@@ -232,6 +232,19 @@ def run_chain(g: PlantedGraph, cfg: MCMCConfig, init: VertexSubset,
 # --- exact stationary law ----------------------------------------------------
 
 
+def _log_sum_exp(w: np.ndarray) -> float:
+    """ln sum(exp(w)), shifted by max(w) so no term overflows."""
+    m = float(w.max())
+    return m + math.log(float(np.exp(w - m).sum()))
+
+
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """exp(w) / sum(exp(w)), shifted by max(w): exp(w - log_z) drifts from 1
+    in sum at huge beta, this does not."""
+    p = np.exp(w - w.max())
+    return p / p.sum()
+
+
 @dataclass
 class ExactGibbs:
     """pi_beta by full enumeration of the C(n, kbar) subsets."""
@@ -248,9 +261,8 @@ class ExactGibbs:
         return {m: i for i, m in enumerate(self.masks)}
 
     @functools.cached_property
-    def _probs(self) -> np.ndarray:  # exp(w - log_z) drifts from 1 in sum at huge beta
-        p = np.exp(self.log_weights - self.log_weights.max())
-        return p / p.sum()
+    def _probs(self) -> np.ndarray:
+        return _normalized(self.log_weights)
 
     def probs(self) -> np.ndarray:
         return self._probs.copy()
@@ -272,9 +284,7 @@ class ExactGibbs:
         sel = (self.overlaps >= z_lo) & (self.overlaps <= z_hi)
         if not sel.any():
             return -math.inf
-        w = self.log_weights[sel]
-        m = float(w.max())
-        return m + math.log(float(np.exp(w - m).sum())) - self.log_z
+        return _log_sum_exp(self.log_weights[sel]) - self.log_z
 
     def well_log_ratio(self, part: WellPartition) -> float:
         """ln( min(pi(A0), pi(A2)) / pi(A1) ); +inf when A1 carries no mass."""
@@ -290,21 +300,17 @@ class ExactGibbs:
                max_overlap: int | None = None) -> list:
         """Masks drawn from pi_beta, optionally conditioned on
         overlap <= max_overlap."""
-        w = self.log_weights
         if max_overlap is not None:
             sel = np.nonzero(self.overlaps <= max_overlap)[0]
             if sel.size == 0:
                 raise ParameterError(f"no subsets with overlap <= {max_overlap}")
         else:
             sel = np.arange(len(self.masks))
-        lw = w[sel]
-        p = np.exp(lw - lw.max())
-        p /= p.sum()
-        picks = rng.choice(sel.size, size=size, p=p)
+        picks = rng.choice(sel.size, size=size, p=_normalized(self.log_weights[sel]))
         return [self.masks[sel[i]] for i in picks]
 
 
-def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
+def exact_gibbs(g: BitGraph, kbar: int, beta: float,
                 budget: int = SUBSET_BUDGET) -> ExactGibbs:
     """Exact Gibbs distribution by enumerating every kbar-subset (explicit
     budget on C(n, kbar)); probabilities sum to 1 up to float roundoff."""
@@ -314,13 +320,11 @@ def exact_gibbs(g: PlantedGraph, kbar: int, beta: float,
         raise ParameterError(f"beta * C(kbar, 2) overflows: beta={beta}, kbar={kbar}")
     masks, edges, overlaps = kbar_subsets(g, kbar, budget)
     weights = float(beta) * edges
-    m = float(weights.max())
-    log_z = m + math.log(float(np.exp(weights - m).sum()))
-    return ExactGibbs(params=p, beta=beta, masks=masks,
-                      log_weights=weights, overlaps=overlaps, log_z=log_z)
+    return ExactGibbs(params=p, beta=beta, masks=masks, log_weights=weights,
+                      overlaps=overlaps, log_z=_log_sum_exp(weights))
 
 
-def free_energy_well_ratio(g: PlantedGraph, kbar: int, beta: float,
+def free_energy_well_ratio(g: BitGraph, kbar: int, beta: float,
                            part: WellPartition, budget: int = SUBSET_BUDGET) -> float:
     """ln( min(pi(A0), pi(A2)) / pi(A1) ) from the exact Gibbs law."""
     return exact_gibbs(g, kbar, beta, budget).well_log_ratio(part)
@@ -344,7 +348,7 @@ def well_ratio_lower_bound(p: ModelParams, beta: float, part: WellPartition,
     return min(max(lo), max(hi)) - mid_mass
 
 
-def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartition,
+def conditional_init(g: BitGraph, kbar: int, beta: float, part: WellPartition,
                      seed: int, budget: int = SUBSET_BUDGET, return_info: bool = False):
     """Sample a start state from pi_beta conditioned on overlap <= a1_max.
 
@@ -376,7 +380,7 @@ def conditional_init(g: PlantedGraph, kbar: int, beta: float, part: WellPartitio
     return (trace.final_state, info) if return_info else trace.final_state
 
 
-def hitting_time(g: PlantedGraph, cfg: MCMCConfig, budget: int = SUBSET_BUDGET) -> ChainTrace:
+def hitting_time(g: BitGraph, cfg: MCMCConfig, budget: int = SUBSET_BUDGET) -> ChainTrace:
     """Escape time of the low-overlap region: start from the conditional law
     on overlap <= a1_max, run the unrestricted chain until the overlap
     exceeds a1_max or t_max runs out (hit_time None on timeout)."""
@@ -385,7 +389,7 @@ def hitting_time(g: PlantedGraph, cfg: MCMCConfig, budget: int = SUBSET_BUDGET) 
     return run_chain(g, cfg, init, stop_above=part.a1_max)
 
 
-def transition_matrix(g: PlantedGraph, kbar: int, beta: float,
+def transition_matrix(g: BitGraph, kbar: int, beta: float,
                       part: WellPartition | None = None,
                       budget: int = 4096) -> tuple[np.ndarray, list]:
     """Explicit Metropolis transition matrix over all kbar-subsets (desk

@@ -1,14 +1,17 @@
 """Planted clique instances G(n, k, 1/2) and subset/edge primitives.
 
-Graphs are stored as packed bit rows (one Python int per vertex, bit j of
-row i set iff {i, j} is an edge) so that edge counting reduces to
-word-parallel AND + popcount.  `BitGraph.words` is the one packed view of
-those rows, n x ceil(n/64) little-endian uint64 words built once per graph;
-batch kernels read it, and `BitGraph.dense`, the n x n uint8 matrix that
-vectorised kernels read, is unpacked from it.  Only this module knows the
-layout: `_pack_words` and `_word_ints` convert to and from it.  All
-randomness comes from numpy's Philox counter-based generator keyed by a
-64-bit seed, which makes every sample bit-reproducible across platforms.
+`BitGraph` is the one graph class: a plain graph is one whose planted set
+is empty (k = 0), so every function takes every graph; those that need
+k >= 1 raise ParameterError through `ModelParams`.  Graphs are stored as
+packed bit rows (one Python int per vertex, bit j of row i set iff {i, j}
+is an edge) so that edge counting reduces to word-parallel AND + popcount.
+`BitGraph.words` is the one packed view of those rows, n x ceil(n/64)
+little-endian uint64 words built once per graph; batch kernels read it,
+and `BitGraph.dense`, the n x n uint8 matrix that vectorised kernels read,
+is unpacked from it.  Only this module knows the layout: `_pack_words` and
+`_word_ints` convert to and from it.  All randomness comes from numpy's
+Philox counter-based generator keyed by a 64-bit seed, which makes every
+sample bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -122,10 +125,14 @@ def mask_to_members(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BitGraph:
-    """Undirected graph on [0, n) with symmetric packed bit-row adjacency."""
+    """Undirected graph on [0, n) with symmetric packed bit-row adjacency
+    and a planted set: a clique on `planted` for G(n, k, 1/2), empty (k = 0)
+    for a plain graph, whose every subset has overlap 0."""
 
     n: int
     rows: tuple[int, ...]  # rows[i] bit j == adjacency(i, j); zero diagonal
+    planted: tuple[int, ...] = ()
+    seed: int = 0
 
     def __post_init__(self):
         if len(self.rows) != self.n:
@@ -156,6 +163,20 @@ class BitGraph:
         adj.flags.writeable = False
         return adj
 
+    @property
+    def k(self) -> int:
+        return len(self.planted)
+
+    @functools.cached_property
+    def planted_mask(self) -> int:
+        """Bitmask of `planted`, derived once per graph."""
+        return VertexSubset.from_iterable(self.planted).mask
+
+    @functools.cached_property
+    def non_planted(self) -> tuple[int, ...]:
+        """The vertices outside `planted`, ascending."""
+        return tuple(v for v in range(self.n) if not self.planted_mask >> v & 1)
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -173,29 +194,7 @@ class BitGraph:
         return total // 2
 
 
-@dataclass(frozen=True)
-class PlantedGraph(BitGraph):
-    """G(n, k, 1/2): ER(1/2) background plus a forced clique on `planted`."""
-
-    planted: tuple[int, ...] = ()
-    seed: int = 0
-
-    @property
-    def k(self) -> int:
-        return len(self.planted)
-
-    @functools.cached_property
-    def planted_mask(self) -> int:
-        """Bitmask of `planted`, derived once per graph."""
-        return VertexSubset.from_iterable(self.planted).mask
-
-    @functools.cached_property
-    def non_planted(self) -> tuple[int, ...]:
-        """The vertices outside `planted`, ascending."""
-        return tuple(v for v in range(self.n) if not self.planted_mask >> v & 1)
-
-
-def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
+def sample_planted(n: int, k: int, seed: int) -> BitGraph:
     """Sample G(n, k, 1/2): every non-planted pair independently an edge
     with probability 1/2, every planted pair forced.  Deterministic in seed."""
     if n <= 0 or not (1 <= k <= n):
@@ -215,7 +214,7 @@ def sample_planted(n: int, k: int, seed: int) -> PlantedGraph:
     adj[np.ix_(pl, pl)] = True
     np.fill_diagonal(adj, False)
     rows = tuple(_word_ints(_pack_words(adj)))
-    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed)
+    return BitGraph(n=n, rows=rows, planted=planted, seed=seed)
 
 
 def _check_subset(g: BitGraph, s: VertexSubset) -> None:
@@ -229,7 +228,7 @@ def edge_count(g: BitGraph, s: VertexSubset) -> int:
     return g.count_in_mask(s.mask)
 
 
-def overlap(g: PlantedGraph, s: VertexSubset) -> int:
+def overlap(g: BitGraph, s: VertexSubset) -> int:
     """|s ∩ planted|."""
     _check_subset(g, s)
     return (s.mask & g.planted_mask).bit_count()
@@ -238,16 +237,15 @@ def overlap(g: PlantedGraph, s: VertexSubset) -> int:
 # --- graph file format -------------------------------------------------
 #
 # Line 1: "pcg v1 <n> <k> <seed>"
-# Line 2: space-separated planted vertices (empty for k=0 plain graphs)
+# Line 2: space-separated planted vertices (empty for a plain graph, k = 0)
 # Lines 3..n+2: lower-triangular adjacency row of vertex i as hex
 #               (bit j of the integer == adjacency(i, j) for j < i).
 
 
 def save_graph(g: BitGraph, path) -> None:
-    planted = getattr(g, "planted", ())
-    seed = getattr(g, "seed", 0)
-    lines = [f"pcg v1 {g.n} {len(planted)} {seed}"]
-    lines.append(" ".join(str(v) for v in planted))
+    """Write g as a pcg v1 file; a plain graph gets k = 0 and an empty line 2."""
+    lines = [f"pcg v1 {g.n} {g.k} {g.seed}"]
+    lines.append(" ".join(str(v) for v in g.planted))
     for i in range(g.n):
         low = g.rows[i] & ((1 << i) - 1)
         lines.append(format(low, "x"))
@@ -256,7 +254,8 @@ def save_graph(g: BitGraph, path) -> None:
 
 
 def load_graph(path) -> BitGraph:
-    """Read a pcg v1 file; any malformed content raises ParameterError."""
+    """Read a pcg v1 file; any malformed content raises ParameterError.  A
+    k = 0 file loads as a plain graph, with an empty planted set."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -280,9 +279,7 @@ def load_graph(path) -> BitGraph:
     half = BitGraph(n=n, rows=tuple(lower)).dense  # decodes the lower triangle
     adj = half | half.T
     rows = tuple(_word_ints(_pack_words(adj)))
-    if k == 0:
-        return BitGraph(n=n, rows=rows)
-    pl = np.array(planted)
+    pl = np.array(planted, dtype=np.intp)
     if adj[np.ix_(pl, pl)].sum() != k * (k - 1):  # zero diagonal: all off-diagonal pairs
         raise ParameterError("planted set is not a clique in file")
-    return PlantedGraph(n=n, rows=rows, planted=planted, seed=seed)
+    return BitGraph(n=n, rows=rows, planted=planted, seed=seed)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, ParameterError
-from .model import PlantedGraph, VertexSubset
+from .model import BitGraph, VertexSubset
 from .numerics import ModelParams, OverlapCurve, overlap_window
 from . import landscape
 
@@ -40,7 +40,7 @@ class OGPCertificate:
     reason: str = ""
 
 
-def overlap_curve(g: PlantedGraph, kbar: int, method: str = "exhaustive",
+def overlap_curve(g: BitGraph, kbar: int, method: str = "exhaustive",
                   budget: int = landscape.NODE_BUDGET, restarts: int = 20,
                   seed: int = 0) -> OverlapCurve:
     """Per-instance curve z -> best edge count at overlap exactly z over the
@@ -123,7 +123,7 @@ def certify_ogp(curve: OverlapCurve, zeta1: int, zeta2: int, r_n: float) -> OGPC
                           reason="no dense subset on one side of the band")
 
 
-def auto_certify(g: PlantedGraph, kbar: int, budget: int = landscape.NODE_BUDGET) -> OGPCertificate:
+def auto_certify(g: BitGraph, kbar: int, budget: int = landscape.NODE_BUDGET) -> OGPCertificate:
     """Search for a holding certificate on the exact curve.
 
     From the deepest dip z*, a provisional level halfway between the dip and

@@ -18,7 +18,7 @@ import plandscape
 from plandscape import landscape, mcmc, ogp
 from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from plandscape.errors import ParameterError
-from plandscape.model import load_graph, sample_planted, save_graph
+from plandscape.model import BitGraph, load_graph, sample_planted, save_graph
 from plandscape.ogp import dip_witness, overlap_curve
 
 
@@ -400,6 +400,41 @@ def test_cli_contract_exit_codes(tmp_path, monkeypatch, capsys, argv, code):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:" if code == EXIT_USAGE else "budget exceeded:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.pcg", "g.pcg.manifest.json"]
+
+
+# the contract on a plain graph file (k = 0, as save_graph writes one):
+# what needs a planted set exits 2, the rest answers
+PLAIN_CONTRACT = [
+    ("d-curve --graph plain.pcg --out d.csv", EXIT_USAGE),
+    ("d-curve --graph plain.pcg --method local --out d.csv", EXIT_USAGE),
+    ("hit --graph plain.pcg --beta 1 --t-max 10 --out h.json --trace-out t.csv", EXIT_USAGE),
+    ("few --graph plain.pcg --beta 1 --out f.json", EXIT_USAGE),
+    ("ogp --graph plain.pcg --out o.json", EXIT_USAGE),
+    ("ogp --graph plain.pcg --method local --out o.json", EXIT_USAGE),
+    ("mcmc --graph plain.pcg --init conditional --beta 1 --t-max 10 --out tr.csv", EXIT_USAGE),
+    ("mcmc --graph plain.pcg --beta 1 --t-max 10 --out tr.csv", 0),
+    ("dense --graph plain.pcg --K 5 --out d.json", 0),
+    ("dense --graph plain.pcg --K 5 --method local --out d.json", 0),
+    ("flatness --K 14 --gamma 0.6 --delta 0.2 --graph plain.pcg --out f.json", 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", PLAIN_CONTRACT)
+def test_cli_contract_on_a_plain_graph_file(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    save_graph(BitGraph(n=14, rows=sample_planted(14, 4, 0).rows), "plain.pcg")
+    assert (tmp_path / "plain.pcg").read_text().startswith("pcg v1 14 0 0\n\n")
+    assert main(argv.split()) == code
+    err = capsys.readouterr().err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    if code == 0:
+        out = argv.split("--out ")[1]
+        assert err == "" and written == sorted(["plain.pcg", out, f"{out}.manifest.json"])
+        if out == "tr.csv":
+            assert {r[1] for r in read_csv(tmp_path / out)[1]} == {"0"}
+        return
+    assert err == "error: need 1 <= k <= kbar <= n, got n=14 k=0 kbar=5\n"
+    assert written == ["plain.pcg"]
 
 
 def test_one_subset_budget_default():

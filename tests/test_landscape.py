@@ -29,7 +29,6 @@ from plandscape.mcmc import MCMCConfig, WellPartition, exact_gibbs, run_chain, t
 from plandscape.model import (
     BitGraph,
     ModelParams,
-    PlantedGraph,
     VertexSubset,
     edge_count,
     feasible_overlaps,
@@ -193,8 +192,8 @@ def test_overlap_densest_budget_and_feasibility():
 def test_overlap_densest_cuts_branches_that_can_only_tie():
     # every subset of a complete graph ties: only the lexicographically
     # first one's branch is searched, not the 10 * C(25, 8) = 1e7 others
-    g = PlantedGraph(n=30, rows=BitGraph.from_edges(30, combinations(range(30), 2)).rows,
-                     planted=(3, 7, 11, 19, 23))
+    g = BitGraph(n=30, rows=BitGraph.from_edges(30, combinations(range(30), 2)).rows,
+                 planted=(3, 7, 11, 19, 23))
     r = densest_with_overlap(g, 10, 2, budget=100)
     assert (r.value, r.witness.members) == (45, tuple(range(10)))
 
@@ -249,14 +248,14 @@ def test_overlap_densest_monotone_under_edge_addition():
         rows = list(g.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        g2 = PlantedGraph(n=12, rows=tuple(rows), planted=g.planted, seed=g.seed)
+        g2 = BitGraph(n=12, rows=tuple(rows), planted=g.planted, seed=g.seed)
         for z in range(4):
             assert densest_with_overlap(g2, 4, z).value >= densest_with_overlap(g, 4, z).value
 
 
 def test_planted_split_is_derived_from_planted():
     g = sample_planted(12, 4, 0)
-    h = PlantedGraph(n=g.n, rows=g.rows, planted=g.planted, seed=g.seed)
+    h = BitGraph(n=g.n, rows=g.rows, planted=g.planted, seed=g.seed)
     assert h == g
     assert overlap(h, VertexSubset(g.planted)) == overlap(g, VertexSubset(g.planted)) == 4
     for z in range(5):
@@ -428,7 +427,7 @@ def enum_graphs(draw, n_max=70):
     adj = np.triu(rng.random((n, n)) < density, 1)
     base = BitGraph.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))])
     planted = tuple(int(v) for v in rng.permutation(n)[:k])
-    return PlantedGraph(n=n, rows=base.rows, planted=planted)
+    return BitGraph(n=n, rows=base.rows, planted=planted)
 
 
 @settings(max_examples=300)
@@ -621,10 +620,10 @@ def scalar_local_search(g, kbar, z=None, restarts=1, seed=0):
 @st.composite
 def search_cases(draw):
     """A graph of any density (ties everywhere at 0 and 1) with a planted
-    set that need not be a clique nor be listed in order, plus every
-    local-search argument."""
+    set that may be empty, need not be a clique nor be listed in order, plus
+    every local-search argument."""
     n = draw(st.integers(1, 24))
-    k = draw(st.integers(1, n))
+    k = draw(st.integers(0, n))
     density = draw(st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adj = np.triu(rng.random((n, n)) < density, 1)
@@ -633,7 +632,7 @@ def search_cases(draw):
     planted = tuple(int(v) for v in rng.permutation(n)[:k])
     if draw(st.booleans()):
         planted = tuple(sorted(planted))
-    g = PlantedGraph(n=n, rows=base.rows, planted=planted)
+    g = BitGraph(n=n, rows=base.rows, planted=planted)
     kbar = draw(st.integers(1, n))
     z = draw(st.one_of(st.none(), st.integers(max(0, kbar - (n - k)), min(k, kbar))))
     return g, kbar, z
@@ -669,7 +668,7 @@ def test_local_search_matches_scalar_reference_at_flatness_scale():
                     scalar_local_search(g, ell, restarts=2, seed=s), (K, s, ell)
     for rows in (BitGraph.from_edges(24, []).rows,
                  BitGraph.from_edges(24, combinations(range(24), 2)).rows):
-        g = PlantedGraph(n=24, rows=rows, planted=(1, 4, 6, 9, 13, 17, 20))
+        g = BitGraph(n=24, rows=rows, planted=(1, 4, 6, 9, 13, 17, 20))
         for kbar, z in ((10, 0), (10, 3), (10, 7), (20, 5)):
             for seed in range(3):
                 r = local_search_densest(g, kbar, z=z, restarts=3, seed=seed)
@@ -677,13 +676,41 @@ def test_local_search_matches_scalar_reference_at_flatness_scale():
                     scalar_local_search(g, kbar, z=z, restarts=3, seed=seed), (kbar, z, seed)
 
 
+@st.composite
+def plain_graphs(draw):
+    """A graph of any density on up to 14 vertices with no planted set."""
+    n = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    return BitGraph.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))])
+
+
+@settings(max_examples=200)
+@given(plain_graphs(), st.data())
+def test_plain_graph_solvers_at_overlap_zero_are_the_unrestricted_ones(g, data):
+    # on a plain graph (k = 0) every subset has overlap 0, so z = 0
+    # restricts nothing
+    assert (g.planted, g.k, g.planted_mask, g.non_planted) == ((), 0, 0, tuple(range(g.n)))
+    K = data.draw(st.integers(1, g.n))
+    fixed = densest_with_overlap(g, K, 0)
+    assert fixed.value == densest_subgraph(g, K).value == edge_count(g, fixed.witness)
+    restarts, seed = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2**16))
+    assert local_search_densest(g, K, z=0, restarts=restarts, seed=seed) == \
+        local_search_densest(g, K, restarts=restarts, seed=seed)
+    masks, edges, overlaps = kbar_subsets(g, K, 10**4)
+    assert overlaps.tolist() == [0] * len(masks) == [overlap(g, VertexSubset(mask_to_members(m)))
+                                                     for m in masks]
+
+
 def test_local_search_feasibility_errors():
     g = sample_planted(10, 3, 0)
     with pytest.raises(ParameterError):
         local_search_densest(g, 4, z=4)
-    plain = BitGraph.from_edges(5, [(0, 1)])
+    plain = BitGraph.from_edges(5, [(0, 1)])  # k = 0: only z = 0 is feasible, and it answers
     with pytest.raises(ParameterError):
         local_search_densest(plain, 3, z=1)
+    assert local_search_densest(plain, 3, z=0) == local_search_densest(plain, 3)
 
 
 # --- prediction ----------------------------------------------------------------

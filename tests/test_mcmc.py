@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import plandscape
-from plandscape import mcmc
+from plandscape import mcmc, ogp
 from plandscape.errors import BudgetError, ParameterError
 from plandscape.landscape import densest_with_overlap, kbar_subsets
 from plandscape.mcmc import (
@@ -32,6 +32,7 @@ from plandscape.mcmc import (
     well_ratio_lower_bound,
 )
 from plandscape.model import (
+    BitGraph,
     ModelParams,
     VertexSubset,
     edge_count,
@@ -469,6 +470,52 @@ def test_run_chain_start_above_stop_hits_at_step_one():
         assert got[3] == 1 and got[0] == [0, 1]
         rejected += got[4] == init.members
     assert rejected > 10
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_run_chain_on_a_plain_graph_moves_as_on_the_same_rows_with_a_planted_set(data):
+    # the planted set only labels overlaps: with no roof and no stop the
+    # chain moves alike with or without one, and on the plain graph (k = 0)
+    # every overlap is 0
+    n = data.draw(st.integers(2, 30))
+    g = sample_planted(n, data.draw(st.integers(1, n)), data.draw(st.integers(0, 999)))
+    plain = BitGraph(n=n, rows=g.rows)
+    kbar = data.draw(st.integers(1, n - 1))
+    init = VertexSubset.from_iterable(data.draw(st.permutations(range(n)))[:kbar])
+    cfg = MCMCConfig(beta=data.draw(st.sampled_from([0.0, 0.3, 1.0, 2.0, 50.0])), kbar=kbar,
+                     t_max=data.draw(st.integers(0, 3000)), seed=data.draw(st.integers(0, 2**32)),
+                     stride=data.draw(st.integers(1, 100)))
+    visits = data.draw(st.booleans())
+    a = run_chain(plain, cfg, init, count_visits=visits)
+    b = run_chain(g, cfg, init, count_visits=visits)
+    assert (a.times, a.edges, a.final_state, a.hit_time, a.visits) == \
+        (b.times, b.edges, b.final_state, b.hit_time, b.visits)
+    assert a.overlaps == [0] * len(a.times)
+
+
+PLAIN_PART = WellPartition.from_params(10, 3, 4, 0.25, 1.0)
+NEEDS_PLANTED = {
+    "exact_gibbs": lambda h: exact_gibbs(h, 4, 1.0),
+    "transition_matrix": lambda h: transition_matrix(h, 4, 1.0, part=PLAIN_PART),
+    "overlap_curve": lambda h: ogp.overlap_curve(h, 4),
+    "overlap_curve-local": lambda h: ogp.overlap_curve(h, 4, method="local"),
+    "auto_certify": lambda h: ogp.auto_certify(h, 4),
+    "conditional_init": lambda h: conditional_init(h, 4, 1.0, PLAIN_PART, seed=0),
+    "conditional_init-burnin": lambda h: conditional_init(h, 4, 1.0, PLAIN_PART, seed=0, budget=0),
+    "hitting_time": lambda h: hitting_time(h, MCMCConfig(beta=1.0, kbar=4, t_max=100, seed=0)),
+    "free_energy_well_ratio": lambda h: free_energy_well_ratio(h, 4, 1.0, PLAIN_PART),
+}
+
+
+@pytest.mark.parametrize("name", NEEDS_PLANTED)
+def test_what_needs_a_planted_set_rejects_a_plain_graph(name):
+    # it answers on a planted graph and raises ParameterError through
+    # ModelParams on the plain graph (k = 0) of the same rows
+    g = sample_planted(10, 3, 0)
+    NEEDS_PLANTED[name](g)
+    with pytest.raises(ParameterError, match=r"^need 1 <= k <= kbar <= n, got n=10 k=0 kbar=4$"):
+        NEEDS_PLANTED[name](BitGraph(n=10, rows=g.rows))
 
 
 # --- exact Gibbs ---------------------------------------------------------------
