@@ -32,12 +32,16 @@ def subset_slack(K: int, ell: int, delta: float, gamma: float) -> float:
     the boundary graphs (empty, complete) are the trivially flat cases."""
     if not 0 <= ell <= K:
         raise DomainError(f"need 0 <= ell <= K, got ell={ell} K={K}")
-    if not (0 <= gamma <= 1 and 0 < delta < 1):
-        raise DomainError(f"need gamma in [0,1], delta in (0,1), got {gamma}, {delta}")
+    _check_gamma_delta(gamma, delta)
     coeff = 2 * gamma * ((2 + delta) if 3 * ell < 2 * K else (1 + delta))
     lead = min(math.comb(K, 2) - math.comb(ell, 2), math.comb(ell, 2))
     logs = math.lgamma(K + 1) - math.lgamma(ell + 1) - math.lgamma(K - ell + 1) + 2 * math.log(K)
     return math.sqrt(coeff * lead * logs)
+
+
+def _check_gamma_delta(gamma: float, delta: float) -> None:
+    if not (0 <= gamma <= 1 and 0 < delta < 1):
+        raise DomainError(f"need gamma in [0,1], delta in (0,1), got {gamma}, {delta}")
 
 
 def sample_conditioned(K: int, gamma: float, seed: int) -> BitGraph:
@@ -127,6 +131,7 @@ def is_flat(g: BitGraph, gamma: float, delta: float, mode: str = "exhaustive",
     violation; sampled mode only certifies "no violation found".  An edge
     count differing from ceil(gamma*C(K,2)) is reported as its own failure
     reason rather than as a subset violation."""
+    _check_gamma_delta(gamma, delta)
     K = g.n
     required = landscape._ceil_threshold(gamma * math.comb(K, 2))
     actual = g.edge_total()

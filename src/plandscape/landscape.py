@@ -97,6 +97,8 @@ def binomial_tail_bracket(N: int, gamma: float) -> tuple[float, float]:
     """Large-deviation bracket for ln P[Bin(N,1/2) >= ceil(gamma N)]:
     [-N r(gamma) - ln N, -N r(gamma)].  Valid once (gamma - 1/2) sqrt(N)
     is large."""
+    if N < 1:
+        raise ParameterError(f"need N >= 1 trials, got N={N}")
     if not 0.5 < gamma <= 1.0:
         raise DomainError(f"gamma must lie in (1/2, 1], got {gamma}")
     exponent = N * rate_function(gamma)

@@ -109,6 +109,7 @@ def gibbs_log_weight(g: BitGraph, s: VertexSubset, beta: float,
                      kbar: int | None = None) -> float:
     """ln pi_beta(s) + ln Z = beta * |E[s]|; the partition function is never
     touched here."""
+    _check_beta(beta)
     if kbar is not None and s.size != kbar:
         raise ParameterError(f"subset size {s.size} != kbar {kbar}")
     return beta * edge_count(g, s)
@@ -343,9 +344,7 @@ def well_ratio_lower_bound(p: ModelParams, beta: float, part: WellPartition,
         return math.inf
     if not lo or not hi:
         return -math.inf
-    m = max(mid)
-    mid_mass = m + math.log(sum(math.exp(x - m) for x in mid))
-    return min(max(lo), max(hi)) - mid_mass
+    return min(max(lo), max(hi)) - _log_sum_exp(np.array(mid))
 
 
 def conditional_init(g: BitGraph, kbar: int, beta: float, part: WellPartition,

@@ -56,6 +56,9 @@ class ModelParams:
     kbar: int
 
     def __post_init__(self):
+        for name in ("n", "k", "kbar"):
+            if type(getattr(self, name)) is not int:  # no float, bool or numpy int
+                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not (1 <= self.k <= self.kbar <= self.n):
             raise ParameterError(
                 f"need 1 <= k <= kbar <= n, got n={self.n} k={self.k} kbar={self.kbar}"

@@ -77,34 +77,58 @@ def _newton_polish(x: float, y: float) -> float:
 
 
 def _entropy_inv_many(ys) -> list[float]:
-    """[binary_entropy_inv(y) for y in ys], bit for bit, with the bisection
-    run on all lanes in lockstep.
+    """[binary_entropy_inv(y) for y in ys], bit for bit, with every lane of
+    the bisection and of the Newton polish stepped at once.
 
     The brackets are dyadic, so every lane halves the same number of times
-    and mid = lo + width/2 is exact, as 0.5*(lo+hi) is.  np.log may differ
-    from math.log in the last ulp, which moves h by ~1e-16; a lane whose h
-    lies within 1e-14 of y redoes that comparison with math.log, so every
-    bracket equals the scalar one.  The Newton polish stays scalar.
+    and mid = lo + width/2 is exact, as 0.5*(lo+hi) is.  Rounds run in place:
+    with g = m ln m + q ln q = -h, h > y exactly when g + y < 0, because
+    fl(-a - b) = -fl(a + b).  np.log may differ from math.log in the last
+    ulp, which moves h by ~1e-16; a lane whose h lies within 1e-14 of y
+    redoes that comparison with math.log, so every bracket equals the scalar
+    one.  The polish takes _newton_polish's branches, with math.log.
     """
-    out = [None if 0.0 < y < LN2 else binary_entropy_inv(y) for y in ys]
-    idx = [i for i, x in enumerate(out) if x is None]
-    y = np.array([ys[i] for i in idx], dtype=np.float64)
-    lo = np.full(len(idx), 0.5)
+    x = np.array(ys, dtype=np.float64)
+    inner = (0.0 < x) & (x < LN2)
+    for i in np.flatnonzero(~inner).tolist():  # endpoints, and the first bad y raises
+        x[i] = binary_entropy_inv(ys[i])
+    y = x[inner]
+    lo, mid, q, g, t = (np.full(y.size, 0.5) for _ in range(5))
+    above = np.empty(y.size, dtype=bool)
     width = 0.5
     while width > _BISECT_TOL:
         width *= 0.5
-        mid = lo + width
-        q = 1.0 - mid
-        h = -mid * np.log(mid) - q * np.log(q)
-        above = h > y
-        near = np.flatnonzero(np.abs(h - y) <= 1e-14)
+        np.add(lo, width, out=mid)
+        np.subtract(1.0, mid, out=q)
+        np.multiply(np.log(mid, out=g), mid, out=g)
+        g += np.multiply(np.log(q, out=t), q, out=t)
+        g += y
+        np.less(g, 0.0, out=above)
+        near = np.flatnonzero(np.abs(g, out=t) <= 1e-14)
         if near.size:
-            above[near] = [binary_entropy(m) > v
-                           for m, v in zip(mid[near].tolist(), y[near].tolist())]
-        lo = np.where(above, mid, lo)
-    for i, x in zip(idx, (lo + 0.5 * width).tolist()):
-        out[i] = _newton_polish(x, ys[i])
-    return out
+            above[near] = _entropies(mid[near]) > y[near]
+        np.copyto(lo, mid, where=above)
+    xs = lo + 0.5 * width
+    live = np.arange(y.size)
+    for _ in range(2):  # _newton_polish's steps on every lane still in its loop
+        live = live[xs[live] < 1.0]
+        v = xs[live]
+        d = _logs((1.0 - v) / v)
+        keep = d != 0.0  # h'(x) = 0: the scalar loop breaks
+        live, v, d = live[keep], v[keep], d[keep]
+        xs[live] = np.clip(v - (_entropies(v) - y[live]) / d, 0.5, 1.0)
+    x[inner] = xs
+    return x.tolist()
+
+
+def _logs(v: np.ndarray) -> np.ndarray:
+    """math.log of each element of v, where np.log may round differently."""
+    return np.array(list(map(math.log, v.tolist())), dtype=np.float64)
+
+
+def _entropies(v: np.ndarray) -> np.ndarray:
+    """binary_entropy of each element of v in [1/2, 1), bit for bit."""
+    return -v * _logs(v) - (1.0 - v) * _logs(1.0 - v)
 
 
 def rate_function(gamma: float) -> float:
@@ -146,7 +170,7 @@ def _log_binomials(n: int, ks) -> list[float]:
     top = max([s for s in sides if s <= _LGAMMA_MIN_SIDE], default=0)
     table = np.log(np.arange(n - top + 1, n + 1, dtype=np.float64))
     return [0.0 if s == 0
-            else float(table[top - s:].sum()) - math.lgamma(s + 1) if s <= _LGAMMA_MIN_SIDE
+            else float(np.add.reduce(table[top - s:])) - math.lgamma(s + 1) if s <= _LGAMMA_MIN_SIDE
             else math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
             for k, s in zip(ks, sides)]
 
@@ -157,11 +181,13 @@ def _choose2(m: int) -> int:
 
 # --- first moment curve and relatives ------------------------------------
 #
-# Each curve kind has one private evaluator that maps overlaps zs and their
-# placement log-counts a = [A(z) for z in zs] to curve values.  The public
-# per-point functions and curve_grid both call it; only the source of A
-# differs (log_placements per point, which checks z, and _window_placements
-# per overlap_window), and both take ln C from _log_binomials.
+# Each curve kind has a scalar per-point function, which checks z, and an
+# array evaluator that curve_grid calls on a window zs with a = [A(z) for z
+# in zs] from _window_placements.  The evaluator gives the per-point bits:
+# C(z,2), M and C(kbar,2) + C(z,2) are rounded once from exact integers, and
+# numpy does only +, -, *, /, sqrt and comparisons, which are correctly
+# rounded; ln comes from math.log and cubes from Python's **.  It raises by
+# calling the per-point function at the first z where that one raises.
 
 
 def log_placements(p: ModelParams, z: int) -> float:
@@ -171,7 +197,7 @@ def log_placements(p: ModelParams, z: int) -> float:
     return log_binomial(p.k, z) + log_binomial(p.n - p.k, p.kbar - z)
 
 
-def _window_placements(p: ModelParams, lo: int, hi: int) -> list[float]:
+def _window_placements(p: ModelParams, lo: int, hi: int) -> np.ndarray:
     """[log_placements(p, z) for z in lo..hi], bit for bit, through p's memo
     of the last window computed: a window inside it is a slice, and any other
     window is computed whole and replaces it.  A(z) depends on (n, k, kbar,
@@ -182,7 +208,16 @@ def _window_placements(p: ModelParams, lo: int, hi: int) -> list[float]:
         start, run = lo, np.add(_log_binomials(p.k, zs),
                                 _log_binomials(p.n - p.k, [p.kbar - z for z in zs]))
         p._placements[:] = start, run
-    return run[lo - start:hi + 1 - start].tolist()
+    return run[lo - start:hi + 1 - start]
+
+
+def _quadratic_terms(big: int, zs: range) -> list[np.ndarray]:
+    """C(z,2), big - C(z,2) and big + C(z,2) over zs as float64 arrays, each
+    rounded once from its exact integer, as Python rounds an int it mixes with
+    a float: int64 while 2*big fits it, Python ints past that."""
+    z = np.arange(zs.start, zs.stop, dtype=np.int64 if big < 2**62 else object)
+    cz = z * (z - 1) // 2
+    return [v.astype(np.float64) for v in (cz, big - cz, big + cz)]
 
 
 def overlap_window(p: ModelParams, z_lo: int | None = None,
@@ -208,25 +243,24 @@ def first_moment_curve(p: ModelParams, z: int) -> float:
     with A(z) = log_placements(p, z).  Where M = 0 (the fully-overlapping
     point z = k = kbar, or kbar = 1) it evaluates to C(z,2).
     """
-    return _first_moment(p, [z], [log_placements(p, z)])[0]
+    az = log_placements(p, z)
+    cz = _choose2(z)
+    m = _choose2(p.kbar) - cz
+    arg = LN2 - az / m if m else LN2
+    if arg < -1e-12:
+        raise UndefinedCurveError(
+            f"curve undefined at z={z}: placement count exceeds capacity "
+            f"(h^{{-1}} argument {arg:.6g} < 0)"
+        )
+    return cz + binary_entropy_inv(max(arg, 0.0)) * m
 
 
-def _first_moment(p: ModelParams, zs, a) -> list[float]:
-    big = _choose2(p.kbar)
-    args = []
-    for z, az in zip(zs, a):
-        m = big - _choose2(z)
-        arg = LN2 - az / m if m else LN2
-        if arg < -1e-12:
-            raise UndefinedCurveError(
-                f"curve undefined at z={z}: placement count exceeds capacity "
-                f"(h^{{-1}} argument {arg:.6g} < 0)"
-            )
-        args.append(max(arg, 0.0))
-    # a single point takes the scalar h^{-1}: a lockstep of one lane pays
-    # its 43 rounds of numpy calls for nothing
-    xs = _entropy_inv_many(args) if len(args) > 1 else [binary_entropy_inv(args[0])]
-    return [_choose2(z) + x * (big - _choose2(z)) for z, x in zip(zs, xs)]
+def _first_moment(p: ModelParams, zs: range, a: np.ndarray) -> np.ndarray:
+    cz, m, _ = _quadratic_terms(_choose2(p.kbar), zs)
+    arg = LN2 - np.divide(a, m, out=np.zeros_like(a), where=m != 0.0)
+    if (bad := arg < -1e-12).any():
+        first_moment_curve(p, zs[bad.argmax()])
+    return cz + np.array(_entropy_inv_many(np.maximum(arg, 0.0))) * m
 
 
 def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = False) -> float:
@@ -237,37 +271,33 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
     `use_k_quadratic=True` swaps C(kbar,2) -> C(k,2) in both occurrences,
     reproducing the plotted small-clique variant of the formula.
     """
-    return _sqrt_approx(p, [z], [log_placements(p, z)], use_k_quadratic)[0]
+    az = log_placements(p, z)
+    if az < 0:
+        raise DomainError("negative placement log-count")
+    big, cz = _choose2(p.k if use_k_quadratic else p.kbar), _choose2(z)
+    m = big - cz
+    if m < 0:
+        raise ParameterError(f"quadratic term negative at z={z}")
+    return 0.5 * (big + cz) + math.sqrt(m * az / 2.0)
 
 
-def _sqrt_approx(p: ModelParams, zs, a, use_k_quadratic: bool = False) -> list[float]:
-    big = _choose2(p.k if use_k_quadratic else p.kbar)
-    out = []
-    for z, az in zip(zs, a):
-        if az < 0:
-            raise DomainError("negative placement log-count")
-        cz = _choose2(z)
-        m = big - cz
-        if m < 0:
-            raise ParameterError(f"quadratic term negative at z={z}")
-        out.append(0.5 * (big + cz) + math.sqrt(m * az / 2.0))
-    return out
+def _sqrt_approx(p: ModelParams, zs: range, a: np.ndarray) -> np.ndarray:
+    _, m, s = _quadratic_terms(_choose2(p.kbar), zs)
+    if (bad := (a < 0) | (m < 0)).any():
+        first_moment_sqrt_approx(p, zs[bad.argmax()])
+    return 0.5 * s + np.sqrt(m * a / 2.0)
 
 
 def sqrt_approx_renormalized(p: ModelParams, z: int) -> float:
     """kbar^{-3/2} * (sqrt-approx(z) - C(kbar,2)/2), computed without the
     cancellation of subtracting two ~1e11 values."""
-    return _sqrt_renormalized(p, [z], [log_placements(p, z)])[0]
+    az, cz = log_placements(p, z), _choose2(z)
+    return (0.5 * cz + math.sqrt((_choose2(p.kbar) - cz) * az / 2.0)) / p.kbar**1.5
 
 
-def _sqrt_renormalized(p: ModelParams, zs, a) -> list[float]:
-    big = _choose2(p.kbar)
-    out = []
-    for z, az in zip(zs, a):
-        cz = _choose2(z)
-        m = big - cz
-        out.append((0.5 * cz + math.sqrt(m * az / 2.0)) / p.kbar**1.5)
-    return out
+def _sqrt_renormalized(p: ModelParams, zs: range, a: np.ndarray) -> np.ndarray:
+    cz, m, _ = _quadratic_terms(_choose2(p.kbar), zs)
+    return (0.5 * cz + np.sqrt(m * a / 2.0)) / p.kbar**1.5
 
 
 def first_moment_expansion(p: ModelParams, z: int) -> float:
@@ -278,21 +308,21 @@ def first_moment_expansion(p: ModelParams, z: int) -> float:
     M = C(kbar,2) - C(z,2).  Within O(1) of the exact curve once
     kbar >= (ln n)^5.
     """
-    return _expansion(p, [z], [log_placements(p, z)])[0]
+    az = log_placements(p, z)
+    big, cz = _choose2(p.kbar), _choose2(z)
+    m = big - cz
+    if m <= 0:
+        raise DomainError(f"expansion undefined at z={z}: zero quadratic gap")
+    return (0.5 * (big + cz) + math.sqrt(az * m / 2.0)
+            - math.sqrt(az**3 / m) / (6.0 * math.sqrt(2.0)))
 
 
-def _expansion(p: ModelParams, zs, a) -> list[float]:
-    big = _choose2(p.kbar)
-    out = []
-    for z, az in zip(zs, a):
-        cz = _choose2(z)
-        m = big - cz
-        if m <= 0:
-            raise DomainError(f"expansion undefined at z={z}: zero quadratic gap")
-        out.append(0.5 * (big + cz)
-                   + math.sqrt(az * m / 2.0)
-                   - math.sqrt(az**3 / m) / (6.0 * math.sqrt(2.0)))
-    return out
+def _expansion(p: ModelParams, zs: range, a: np.ndarray) -> np.ndarray:
+    _, m, s = _quadratic_terms(_choose2(p.kbar), zs)
+    if (bad := m <= 0).any():
+        first_moment_expansion(p, zs[bad.argmax()])
+    cube = np.array([v**3 for v in a.tolist()], dtype=np.float64)
+    return 0.5 * s + np.sqrt(a * m / 2.0) - np.sqrt(cube / m) / (6.0 * math.sqrt(2.0))
 
 
 def trend_statistic(p: ModelParams) -> float:
@@ -369,15 +399,16 @@ def curve_grid(p: ModelParams, kind: str, z_lo: int | None = None,
 
     The window runs as one batch: A(z) comes from one log table per
     binomial, and p keeps the last window's A(z), so a later kind on that
-    window or inside it computes none; gamma inverts h in lockstep, every
-    value bit-identical to the per-point function of its kind."""
+    window or inside it computes none; the kind's array evaluator then runs
+    on the whole window (gamma inverts h on every lane at once), every value
+    bit-identical to the per-point function of its kind."""
     if kind not in _KINDS:
         raise ParameterError(f"unknown curve kind {kind!r}")
     evaluate, name, exponent = _KINDS[kind]
     window = overlap_window(p, z_lo, z_hi)
     a = _window_placements(p, window.start, window[-1])
     return OverlapCurve(params=p, kind=name, z_lo=window.start,
-                        values=tuple(evaluate(p, window, a)), scale=p.kbar**exponent)
+                        values=tuple(evaluate(p, window, a).tolist()), scale=p.kbar**exponent)
 
 
 # --- monotonicity classification -----------------------------------------

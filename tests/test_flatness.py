@@ -113,6 +113,14 @@ def test_exhaustive_limit():
         is_flat(BitGraph.from_edges(5, []), 0.5, 0.2, mode="janky")
 
 
+def test_is_flat_checks_gamma_and_delta_first():
+    g = sample_conditioned(10, 0.5, 0)
+    for gamma, delta in ((math.nan, 0.2), (math.inf, 0.2), (1.5, 0.2), (0.5, math.nan), (0.5, 1.0)):
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(DomainError, match=r"^need gamma in \[0,1\], delta in \(0,1\)"):
+                is_flat(g, gamma, delta, mode=mode)
+
+
 def test_sampled_mode_rejects_a_negative_sample_count():
     g = sample_conditioned(10, 0.5, 0)
     with pytest.raises(ParameterError, match="^samples must be >= 0, got -1$"):

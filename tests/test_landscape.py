@@ -135,6 +135,9 @@ def test_tail_bracket_from_rate_function():
         assert lo <= exact <= hi
     with pytest.raises(DomainError):
         binomial_tail_bracket(100, 0.4)
+    for N in (0, -3):
+        with pytest.raises(ParameterError, match=f"^need N >= 1 trials, got N={N}$"):
+            binomial_tail_bracket(N, 0.6)
 
 
 def test_expected_dense_count():

@@ -592,6 +592,8 @@ def test_beta_must_be_finite_and_non_negative():
             MCMCConfig(beta=beta, kbar=4, t_max=10, seed=0)
         with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
             exact_gibbs(g, 4, beta)
+        with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
+            gibbs_log_weight(g, VertexSubset(g.planted), beta)
     with pytest.raises(ParameterError, match="overflows"):
         exact_gibbs(g, 5, 1e308)  # C(5, 2) * 1e308 is inf
     assert np.isfinite(exact_gibbs(g, 5, 1e307).log_weights).all()

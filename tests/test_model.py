@@ -64,6 +64,13 @@ def test_parameter_errors():
         VertexSubset((2, 1))
 
 
+@pytest.mark.parametrize("sizes", [(10.5, 2, 3), (10, 2.0, 3), (10, 2, 3.0), (True, 1, 1),
+                                   (10, True, 3), (np.int64(10), 2, 3), (10, 2, np.int64(3))])
+def test_model_params_sizes_must_be_ints(sizes):
+    with pytest.raises(ParameterError, match=r"^(n|k|kbar) must be an int, got "):
+        ModelParams(*sizes)
+
+
 def test_planted_pairs_always_edges():
     for seed in range(20):
         g = sample_planted(30, 6, seed)

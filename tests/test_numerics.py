@@ -538,8 +538,34 @@ def curve_windows(draw):
 @example((ModelParams(1000, 20, 20), 10, 20))  # phi undefined at z = kbar
 @example((ModelParams(10, 1, 1), 0, 1))  # kbar = 1: zero quadratic gap at z = 0
 @example((ModelParams(10**7, 600, 2**18 + 300), 296, 303))
+@example((ModelParams(10**10, 50, 5 * 10**9), 25, 50))  # C(kbar,2) + C(z,2) > 2^63
 def test_curve_grid_window_equals_per_point_functions(case):
-    p, lo, hi = case
+    _assert_grid_equals_per_point(*case)
+
+
+@pytest.mark.parametrize("kbar", [700, 12_345, 2**18 + 600, 654_321])
+def test_curve_grid_full_window_equals_per_point_functions(kbar):
+    # every point of the default window at n = 1e7, k = 700, one kbar per
+    # _log_binomials regime (the third window's side kbar - z crosses 2^18);
+    # at kbar = k phi raises at z = k, so [lo, k - 1] is checked as well
+    p = ModelParams(10**7, 700, kbar)
+    window = overlap_window(p)
+    _assert_grid_equals_per_point(p, window.start, window[-1])
+    if kbar == p.k:
+        _assert_grid_equals_per_point(p, window.start, p.k - 1)
+
+
+def test_curve_grid_keeps_the_bits_of_python_cubes_at_kbar_2():
+    # phi's A^3 term is most of the curve at kbar = 2, so how A^3 is rounded
+    # reaches the output there (np.power and ** differ on ~5% of values);
+    # at n = 1e7 the term sits below the last bit of the curve
+    for n in range(4, 400):
+        _assert_grid_equals_per_point(ModelParams(n, 1, 2), 0, 1)
+
+
+def _assert_grid_equals_per_point(p, lo, hi):
+    """Every kind's curve_grid on [lo, hi] gives the bits of its per-point
+    function, or raises what the per-point loop raises first."""
     for kind, fn in PER_POINT.items():
         want = []
         for z in range(lo, hi + 1):
