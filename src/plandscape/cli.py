@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per module, seeded and
-reproducible.  Subcommands write no files: each returns {path: output}, and
-`main` checks every output path before the subcommand runs, then writes the
-outputs and `<out>.manifest.json` recording the full parameter set, tool
-version, wall time and sha256 of each output, so any run can be reproduced
-bit-for-bit from its manifest.  Bad input leaves no file behind.
+reproducible.  `main` checks every output path, loads `--graph` once, and
+runs the subcommand on it, which writes no files but returns {path: output};
+`main` writes those and `<out>.manifest.json`, recording the full parameter
+set, tool version, wall time and sha256 of each output, so any run can be
+reproduced bit-for-bit from its manifest.  Bad input leaves no file behind.
 
 Exit codes: 0 success (ogp: certificate holds), 2 usage error, 3 ogp
 refuted, 4 ogp not certifiable (heuristic curve), 5 budget exceeded (search
@@ -88,11 +88,11 @@ def _write(args, files, t0) -> None:
 # --- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_sample(args):
+def _cmd_sample(args, g):
     return {args.out: sample_planted(args.n, args.k, args.seed)}
 
 
-def _cmd_curve(args):
+def _cmd_curve(args, g):
     p = ModelParams(args.n, args.k, args.kbar)
     curve = numerics.curve_grid(p, args.kind, z_lo=args.z_lo, z_hi=args.z_hi)
     rows = [(z, v, curve.kind, args.n, args.k, args.kbar)
@@ -100,7 +100,7 @@ def _cmd_curve(args):
     return {args.out: _csv("z,value,kind,n,k,kbar", rows)}
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, g):
     p = ModelParams(args.n, args.k, args.kbar)
     if args.empirical:
         cfg = numerics.ClassifierConfig(epsilon=args.epsilon, c0=args.c0)
@@ -119,7 +119,7 @@ def _cmd_classify(args):
     })}
 
 
-def _cmd_phase(args):
+def _cmd_phase(args, g):
     try:
         k_grid = [int(tok) for tok in args.k_grid.split(",")]
         kbar_grid = [int(tok) for tok in args.kbar_grid.split(",")]
@@ -129,7 +129,7 @@ def _cmd_phase(args):
     return {args.out: _csv("k,kbar,label", table)}
 
 
-def _cmd_dense(args):
+def _cmd_dense(args, g):
     if args.budget < 0:  # only the exhaustive method reads it
         raise ParameterError(f"node budget must be >= 0, got {args.budget}")
     if args.predict:
@@ -139,9 +139,8 @@ def _cmd_dense(args):
         return {args.out: _json({"n": pred.n, "K": pred.K,
                                  "first_order": pred.first_order,
                                  "second_order": pred.second_order})}
-    if args.graph is None:
+    if g is None:
         raise ParameterError("dense needs --graph (or --predict)")
-    g = load_graph(args.graph)
     if args.method == "exhaustive":
         res = landscape.densest_subgraph(g, args.K, budget=args.budget)
     else:
@@ -154,8 +153,7 @@ def _cmd_dense(args):
     })}
 
 
-def _cmd_d_curve(args):
-    g = load_graph(args.graph)
+def _cmd_d_curve(args, g):
     curve = ogp.overlap_curve(g, args.kbar, method=args.method,
                               budget=args.budget, restarts=args.restarts,
                               seed=args.seed)
@@ -165,11 +163,8 @@ def _cmd_d_curve(args):
     return {args.out: _csv("z,value,method,witness", rows)}
 
 
-def _cmd_flatness(args):
-    if args.graph:
-        g = load_graph(args.graph)
-    else:
-        g = flat_mod.sample_conditioned(args.K, args.gamma, args.seed)
+def _cmd_flatness(args, g):
+    g = flat_mod.sample_conditioned(args.K, args.gamma, args.seed) if g is None else g
     if args.mode == "exhaustive":
         rep = flat_mod.is_flat(g, args.gamma, args.delta)
     elif args.mode.startswith("sampled:") and args.mode[8:].isdecimal():
@@ -193,8 +188,7 @@ def _chain_config(args):
                            stride=args.stride)
 
 
-def _cmd_mcmc(args):
-    g = load_graph(args.graph)
+def _cmd_mcmc(args, g):
     cfg = _chain_config(args)
     init = mcmc.conditional_init(
         g, args.kbar, args.beta,
@@ -210,8 +204,7 @@ def _uniform_init(g, args):
         int(v) for v in rng.permutation(g.n)[: args.kbar])
 
 
-def _cmd_hit(args):
-    g = load_graph(args.graph)
+def _cmd_hit(args, g):
     cfg = _chain_config(args)
     if not args.trace_out:  # no trace is written, so sample only its ends
         cfg = dataclasses.replace(cfg, stride=max(args.t_max, 1))
@@ -231,8 +224,7 @@ def _cmd_hit(args):
     return files
 
 
-def _cmd_few(args):
-    g = load_graph(args.graph)
+def _cmd_few(args, g):
     part = mcmc.WellPartition.from_params(g.n, g.k, args.kbar, args.d1, args.d2)
     dom = ModelParams(g.n, g.k, args.kbar).overlaps
     if part.a0_max < dom.start:  # A2 always holds k, so only A0 can be empty
@@ -252,8 +244,7 @@ def _cmd_few(args):
     })}
 
 
-def _cmd_ogp(args):
-    g = load_graph(args.graph)
+def _cmd_ogp(args, g):
     if args.method == "local":
         curve = ogp.overlap_curve(g, args.kbar, method="local",
                                   budget=args.budget, seed=args.seed)
@@ -425,7 +416,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_outputs(args)
-        result = args.func(args)
+        g = None if getattr(args, "graph", None) is None else load_graph(args.graph)
+        result = args.func(args, g)
         files, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         if files:
             _write(args, files, t0)

@@ -5,13 +5,13 @@ is empty (k = 0), so every function takes every graph; those that need
 k >= 1 raise ParameterError through `ModelParams`.  Graphs are stored as
 packed bit rows (one Python int per vertex, bit j of row i set iff {i, j}
 is an edge) so that edge counting reduces to word-parallel AND + popcount.
-`BitGraph.words` is the one packed view of those rows, n x ceil(n/64)
-little-endian uint64 words built once per graph; batch kernels read it,
-and `BitGraph.dense`, the n x n uint8 matrix that vectorised kernels read,
-is unpacked from it.  Only this module knows the layout: `_pack_words` and
-`_word_ints` convert to and from it.  All randomness comes from numpy's
-Philox counter-based generator keyed by a 64-bit seed, which makes every
-sample bit-reproducible across platforms.
+`BitGraph.words` is the one packed view of those rows: n x ceil(n/64)
+little-endian uint64 words, built by the constructor (the one check of a
+graph) and read by batch kernels; `BitGraph.dense`, the n x n uint8 matrix
+of vectorised kernels, is unpacked from it.  Only this module knows the
+layout.  `planted` is any set of distinct vertices in a hand-built graph
+and a clique in every sampled or loaded one.  Randomness is numpy's Philox
+keyed by a 64-bit seed, so samples are bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .errors import ParameterError
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for (seed, stream); stream 0 is the generator of record."""
+    if type(seed) is not int:  # no float, bool or numpy int
+        raise ParameterError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,)) if stream else np.random.SeedSequence(entropy=seed)
@@ -33,11 +35,26 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix as little-endian uint64 words: bit j of a row is
-    bit j % 64 of word j // 64, the layout of BitGraph.words."""
+    """Rows of a 0/1 matrix as BitGraph.words: bit j is bit j % 64 of little-endian word j // 64."""
     out = np.zeros((len(bits), -(-bits.shape[1] // 64) * 8), dtype=np.uint8)
-    out[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    out[:, :(bits.shape[1] + 7) // 8] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
     return out.view("<u8")
+
+
+def _row_words(rows, n: int) -> np.ndarray:
+    """Read-only packed words of Python-int rows, each a bit set over range(n)."""
+    width = -(-n // 64)
+    raw = b"".join(r.to_bytes(8 * width, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width)
+
+
+def _transpose_words(words: np.ndarray) -> np.ndarray:
+    """Packed words of the transpose of the square bit matrix in words, 64 rows at a time."""
+    out = np.empty_like(words)
+    for lo in range(0, len(words), 64):
+        bits = np.unpackbits(words[lo:lo + 64].view(np.uint8), axis=1, count=len(words), bitorder="little")
+        out[:, lo // 64] = _pack_words(bits.T)[:, 0]
+    return out
 
 
 def _word_ints(words: np.ndarray) -> list:
@@ -128,18 +145,25 @@ def mask_to_members(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BitGraph:
-    """Undirected graph on [0, n) with symmetric packed bit-row adjacency
-    and a planted set: a clique on `planted` for G(n, k, 1/2), empty (k = 0)
-    for a plain graph, whose every subset has overlap 0."""
+    """Undirected graph on [0, n) with symmetric bit-row adjacency and distinct
+    planted vertices: a clique if sampled or loaded, any set if hand-built, and
+    none (k = 0) in a plain graph, whose every subset has overlap 0."""
 
     n: int
     rows: tuple[int, ...]  # rows[i] bit j == adjacency(i, j); zero diagonal
     planted: tuple[int, ...] = ()
     seed: int = 0
 
-    def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise ParameterError("row count must equal n")
+    def __post_init__(self):  # the one check of a graph
+        n, rows, planted = self.n, self.rows, self.planted
+        if type(n) is not int or len(rows) != n or \
+                any(type(r) is not int or r >> n or r >> i & 1 for i, r in enumerate(rows)):
+            raise ParameterError(f"need n = {n!r} rows, each a bit set over range(n) with a zero diagonal")
+        words = self.words  # built once per graph: the check caches it
+        if not np.array_equal(_transpose_words(words), words):
+            raise ParameterError("rows must be symmetric")
+        if len(set(planted)) != len(planted) or any(type(v) is not int or not 0 <= v < n for v in planted):
+            raise ParameterError(f"planted vertices must be distinct and in range({n}): {planted}")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "BitGraph":
@@ -153,11 +177,8 @@ class BitGraph:
 
     @functools.cached_property
     def words(self) -> np.ndarray:
-        """Read-only n x ceil(n/64) little-endian uint64 words of the rows:
-        the one packed view, built once per graph."""
-        width = -(-self.n // 64)
-        raw = b"".join(r.to_bytes(8 * width, "little") for r in self.rows)
-        return np.frombuffer(raw, dtype="<u8").reshape(self.n, width)
+        """Read-only n x ceil(n/64) uint64 words of the rows: the one packed view."""
+        return _row_words(self.rows, self.n)
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -200,24 +221,24 @@ class BitGraph:
 def sample_planted(n: int, k: int, seed: int) -> BitGraph:
     """Sample G(n, k, 1/2): every non-planted pair independently an edge
     with probability 1/2, every planted pair forced.  Deterministic in seed."""
-    if n <= 0 or not (1 <= k <= n):
-        raise ParameterError(f"need 1 <= k <= n with n > 0, got n={n} k={k}")
+    ModelParams(n, k, k)
     rng = rng_from_seed(seed)
     planted = tuple(sorted(int(v) for v in rng.permutation(n)[:k]))
 
     npairs = n * (n - 1) // 2
     raw = np.frombuffer(rng.bytes((npairs + 7) // 8), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[:npairs]
-
     adj = np.zeros((n, n), dtype=bool)
     for i in range(1, n):  # pair (i, j), j < i, at flat index C(i,2)+j
         adj[i, :i] = bits[i * (i - 1) // 2 : i * (i + 1) // 2]
-    adj |= adj.T
-    pl = np.array(planted)
-    adj[np.ix_(pl, pl)] = True
+    adj[np.ix_(planted, planted)] = True
     np.fill_diagonal(adj, False)
-    rows = tuple(_word_ints(_pack_words(adj)))
-    return BitGraph(n=n, rows=rows, planted=planted, seed=seed)
+    return _symmetric_graph(_pack_words(adj), planted, seed)
+
+
+def _symmetric_graph(words: np.ndarray, planted: tuple, seed: int) -> BitGraph:
+    """The graph of zero-diagonal packed bit rows OR'd with their transpose."""
+    return BitGraph(len(words), tuple(_word_ints(words | _transpose_words(words))), planted, seed)
 
 
 def _check_subset(g: BitGraph, s: VertexSubset) -> None:
@@ -274,15 +295,9 @@ def load_graph(path) -> BitGraph:
         raise ParameterError("planted list length does not match header")
     if len(lower) != n:
         raise ParameterError(f"{len(lower)} adjacency rows in file, header says n={n}")
-    if any(not 0 <= v < n for v in planted):
-        raise ParameterError(f"planted vertex out of range for n={n}")
-    for i in range(n):
-        if lower[i] >> i:
-            raise ParameterError(f"row {i} has bits at or above the diagonal")
-    half = BitGraph(n=n, rows=tuple(lower)).dense  # decodes the lower triangle
-    adj = half | half.T
-    rows = tuple(_word_ints(_pack_words(adj)))
-    pl = np.array(planted, dtype=np.intp)
-    if adj[np.ix_(pl, pl)].sum() != k * (k - 1):  # zero diagonal: all off-diagonal pairs
+    if above := [i for i, r in enumerate(lower) if r >> i]:
+        raise ParameterError(f"row {above[0]} has bits at or above the diagonal")
+    g = _symmetric_graph(_row_words(lower, n), planted, seed)
+    if g.count_in_mask(g.planted_mask) != k * (k - 1) // 2:
         raise ParameterError("planted set is not a clique in file")
-    return BitGraph(n=n, rows=rows, planted=planted, seed=seed)
+    return g

@@ -377,6 +377,8 @@ CONTRACT = [
     ("few --graph {g} --kbar 12 --d1 0.05 --beta 1 --out f.json", EXIT_USAGE),
     ("dense --graph {g} --K 5 --method local --budget -1 --out d.json", EXIT_USAGE),
     ("dense --predict --n 50 --K 10 --budget -1 --out d.json", EXIT_USAGE),
+    ("dense --predict --n 50 --K 10 --graph missing.pcg --out p.json", EXIT_USAGE),
+    ("dense --predict --n 50 --K 10 --graph {g} --out p.json", 0),
     ("d-curve --graph {g} --kbar 5 --method local --budget -1 --out d.csv", EXIT_USAGE),
     ("ogp --graph {g} --kbar 5 --method local --budget -1 --out o.json", EXIT_USAGE),
     ("mcmc --graph {g} --kbar 5 --beta 1 --t-max 10 --out {g}", EXIT_USAGE),

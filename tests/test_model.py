@@ -71,6 +71,12 @@ def test_model_params_sizes_must_be_ints(sizes):
         ModelParams(*sizes)
 
 
+@pytest.mark.parametrize("args", [(5.5, 2, 0), (5, 2.0, 0), (True, 1, 0), (5, 2, 1.5)])
+def test_sample_planted_rejects_sizes_and_seeds_that_are_not_ints(args):
+    with pytest.raises(ParameterError, match=r"^(n|k|seed) must be an int, got "):
+        sample_planted(*args)
+
+
 def test_planted_pairs_always_edges():
     for seed in range(20):
         g = sample_planted(30, 6, seed)
@@ -246,6 +252,61 @@ def test_load_mutated_file_raises_only_parameter_error(tmp_path_factory, edits):
     save_graph(g, path)  # whatever loads must round-trip
     h = load_graph(path)
     assert h == g
+
+
+@pytest.mark.parametrize("n, rows, planted", [
+    (3, (2, 0, 0), ()),  # an edge 0 -> 1 without 1 -> 0
+    (3, (0, 0, 0), (7,)),  # a planted vertex out of range
+])
+def test_bitgraph_rejects_a_corrupt_hand_built_graph(n, rows, planted):
+    with pytest.raises(ParameterError):
+        BitGraph(n=n, rows=rows, planted=planted)
+
+
+def _corruptions(data, g):
+    """Each corruption of a valid graph, as BitGraph keyword arguments."""
+    n = g.n
+    # half the time a vertex at either end of a 64-bit word
+    ends = sorted({v for v in (0, 1, 62, 63, 64, 65, n - 2, n - 1) if 0 <= v < n})
+    vertex = st.one_of(st.integers(0, n - 1), st.sampled_from(ends))
+    i = data.draw(vertex, label="row")
+    for kind in ("one-sided bit", "diagonal", "high bit", "missing row",
+                 "planted out of range", "repeated planted"):
+        rows, planted = list(g.rows), g.planted
+        if kind == "one-sided bit" and n >= 2:
+            rows[i] ^= 1 << data.draw(vertex.filter(lambda j: j != i), label="column")
+        elif kind == "diagonal":
+            rows[i] |= 1 << i
+        elif kind == "high bit":
+            rows[i] |= 1 << data.draw(st.integers(n, n + 70), label="bit")
+        elif kind == "missing row":
+            del rows[i]
+        elif kind == "planted out of range":
+            planted += (data.draw(st.sampled_from([-1, n, n + 63, -n - 1]), label="vertex"),)
+        elif kind == "repeated planted" and planted:
+            planted += (planted[i % len(planted)],)
+        else:
+            continue
+        yield dict(n=n, rows=tuple(rows), planted=planted, seed=g.seed)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_every_graph_passes_the_one_constructor_check(tmp_path_factory, data):
+    # n up to 70, so rows cross a 64-bit word; a plain and a planted graph
+    # round-trip through the file, and each corruption fails at construction
+    n = data.draw(st.one_of(st.integers(1, 70), st.sampled_from([64, 65, 66, 70])), label="n")
+    g = sample_planted(n, data.draw(st.integers(1, n), label="k"),
+                       data.draw(st.integers(0, 2**32), label="seed"))
+    plain = BitGraph(n=n, rows=g.rows, seed=g.seed)
+    path = tmp_path_factory.getbasetemp() / "checked.pcg"
+    for h in (g, plain):
+        assert BitGraph(n=h.n, rows=h.rows, planted=h.planted, seed=h.seed) == h
+        save_graph(h, path)
+        assert load_graph(path) == h
+        for corrupt in _corruptions(data, h):
+            with pytest.raises(ParameterError):
+                BitGraph(**corrupt)
 
 
 def test_out_of_range_subset_rejected():
