@@ -2,8 +2,9 @@
 reproducible.  `main` checks every output path, loads `--graph` once, and
 runs the subcommand on it, which writes no files but returns {path: output};
 `main` writes those and `<out>.manifest.json`, recording the full parameter
-set, tool version, wall time and sha256 of each output, so any run can be
-reproduced bit-for-bit from its manifest.  Bad input leaves no file behind.
+set, tool version, wall time and the sha256 and size of the input graph and
+of each output, so any run can be reproduced bit-for-bit from its manifest.
+Bad input leaves no file behind.
 
 Exit codes: 0 success (ogp: certificate holds), 2 usage error, 3 ogp
 refuted, 4 ogp not certifiable (heuristic curve), 5 budget exceeded (search
@@ -59,27 +60,37 @@ def _check_outputs(args) -> None:
             raise OSError(f"cannot write {path}: it is the input graph")
 
 
+def _file_entry(path) -> dict:
+    """{path, sha256, bytes} of a file on disk, hashed in 1 MiB chunks."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"path": path, "sha256": digest.hexdigest(), "bytes": size}
+
+
 def _write(args, files, t0) -> None:
     """Write each output (a graph through save_graph, text as is), then the
-    manifest with each file's sha256 and size as read back from disk."""
-    entries = []
+    manifest with the sha256 and size of the input graph, if any, and of
+    each output as read back from disk."""
     for path, out in files.items():
         if isinstance(out, str):
             with open(path, "w") as fh:
                 fh.write(out)
         else:
             save_graph(out, path)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        entries.append({"path": path, "sha256": hashlib.sha256(data).hexdigest(),
-                        "bytes": len(data)})
+    graph = getattr(args, "graph", None)
+    inputs = [_file_entry(graph)] if graph else []
+    outputs = [_file_entry(path) for path in files]
     manifest = _json({
         "tool": "plandscape",
         "version": __version__,
         "subcommand": args.cmd,
         "params": {k: v for k, v in vars(args).items() if k != "func"},
         "wall_ms": round((time.perf_counter() - t0) * 1000, 3),
-        "outputs": entries,
+        "inputs": inputs,
+        "outputs": outputs,
     })
     with open(f"{args.out}.manifest.json", "w") as fh:
         fh.write(manifest)

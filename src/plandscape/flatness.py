@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import BitGraph, mask_to_members, rng_from_seed
+from .model import BitGraph, _pair_graph, check_ints, mask_to_members, rng_from_seed
 from . import landscape
 
 EXHAUSTIVE_LIMIT = 22  # 2^K masks; beyond this only sampled mode runs
@@ -30,6 +30,7 @@ def subset_slack(K: int, ell: int, delta: float, gamma: float) -> float:
 
     gamma may sit on the [0,1] boundary: the formula stays defined there and
     the boundary graphs (empty, complete) are the trivially flat cases."""
+    check_ints(K=K, ell=ell)
     if not 0 <= ell <= K:
         raise DomainError(f"need 0 <= ell <= K, got ell={ell} K={K}")
     _check_gamma_delta(gamma, delta)
@@ -46,14 +47,15 @@ def _check_gamma_delta(gamma: float, delta: float) -> None:
 
 def sample_conditioned(K: int, gamma: float, seed: int) -> BitGraph:
     """Uniform K-vertex graph with exactly ceil(gamma*C(K,2)) edges."""
+    check_ints(K=K)
     if K < 1 or not 0 <= gamma <= 1:
         raise ParameterError(f"need K >= 1 and gamma in [0,1], got K={K} gamma={gamma}")
     npairs = math.comb(K, 2)
     m = landscape._ceil_threshold(gamma * npairs)
     rng = rng_from_seed(seed)
-    picks = rng.permutation(npairs)[:m]
-    il, jl = np.tril_indices(K, -1)
-    return BitGraph.from_edges(K, [(int(il[p]), int(jl[p])) for p in picks])
+    bits = np.zeros(npairs, dtype=bool)
+    bits[rng.permutation(npairs)[:m]] = True  # pair (i, j), j < i, at flat index C(i,2)+j
+    return _pair_graph(np.packbits(bits, bitorder="little").tobytes(), K)
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,7 @@ def _check_exhaustive(g: BitGraph, gamma: float, delta: float):
 def _check_sampled(g: BitGraph, gamma: float, delta: float, samples: int, seed: int):
     """Uniform ell-subsets plus greedy densest witnesses on a coarse ell grid;
     uniform draws almost never land on a violation, the greedy witnesses do."""
+    check_ints(samples=samples)
     if samples < 0:
         raise ParameterError(f"samples must be >= 0, got {samples}")
     K = g.n

@@ -16,6 +16,7 @@ from .model import (
     BitGraph,
     ModelParams,
     VertexSubset,
+    check_ints,
     check_overlap,
     edge_count,
     feasible_overlaps,
@@ -268,6 +269,7 @@ def densest_with_overlap(g: BitGraph, kbar: int, z: int,
     branch and bound over the non-planted vertices per planted z-subset (the
     incumbent carried across them; `budget` caps the call's search nodes).
     Witness ties break to the lexicographically smallest subset."""
+    check_ints(kbar=kbar)
     check_overlap(z, feasible_overlaps(g.n, g.k, kbar))
     adj = g.dense.astype(np.int64)
     others = np.array(g.non_planted, dtype=np.intp)
@@ -283,6 +285,7 @@ def densest_subgraph(g: BitGraph, K: int, budget: int = NODE_BUDGET) -> DensestR
     """Exact densest K-subgraph of any graph by branch and bound over all
     vertices, seeded by local search; `budget` caps the search nodes."""
     n = g.n
+    check_ints(K=K)
     if not 1 <= K <= n:
         raise ParameterError(f"need 1 <= K <= n, got K={K} n={n}")
     if K == 1 and budget >= 0:  # a negative budget fails in the kernel
@@ -316,6 +319,7 @@ def local_search_densest(g: BitGraph, kbar: int, z: int | None = None,
     walking the cycle.
     """
     n = g.n
+    check_ints(kbar=kbar, restarts=restarts)
     if not 1 <= kbar <= n or restarts < 0:
         raise ParameterError(f"need 1 <= kbar <= n, restarts >= 0, got {kbar}, {restarts}")
     if z is not None:

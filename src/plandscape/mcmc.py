@@ -19,7 +19,8 @@ from itertools import compress, permutations
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .model import BitGraph, ModelParams, VertexSubset, edge_count, mask_to_members, rng_from_seed
+from .model import (BitGraph, ModelParams, VertexSubset, check_ints, edge_count, mask_to_members,
+                    rng_from_seed)
 from .landscape import SUBSET_BUDGET, kbar_subsets
 from .numerics import log_placements
 
@@ -64,9 +65,7 @@ class MCMCConfig:
 
     def __post_init__(self):
         _check_beta(self.beta)
-        for name in ("kbar", "t_max", "stride"):
-            if type(getattr(self, name)) is not int:  # no float, bool or numpy int
-                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
+        check_ints(kbar=self.kbar, t_max=self.t_max, stride=self.stride)
         if self.kbar < 1 or self.t_max < 0 or self.stride < 1:
             raise ParameterError("need kbar >= 1, t_max >= 0, stride >= 1")
         _check_wells(self.d1, self.d2)

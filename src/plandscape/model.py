@@ -9,9 +9,13 @@ is an edge) so that edge counting reduces to word-parallel AND + popcount.
 little-endian uint64 words, built by the constructor (the one check of a
 graph) and read by batch kernels; `BitGraph.dense`, the n x n uint8 matrix
 of vectorised kernels, is unpacked from it.  Only this module knows the
-layout.  `planted` is any set of distinct vertices in a hand-built graph
-and a clique in every sampled or loaded one.  Randomness is numpy's Philox
-keyed by a 64-bit seed, so samples are bit-reproducible across platforms.
+layout.  Both samplers (`sample_planted` here, `flatness.sample_conditioned`)
+and `load_graph` end in one builder: Python-int lower-triangle rows, packed
+and OR'd with their transpose 64 rows at a time, so building a graph never
+makes an n x n array.  `planted` is any set of distinct vertices in a
+hand-built graph and a clique in every sampled or loaded one.  Randomness
+is numpy's Philox keyed by a 64-bit seed, so samples are bit-reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -24,10 +28,17 @@ import numpy as np
 from .errors import ParameterError
 
 
+def check_ints(**values) -> None:
+    """Raise ParameterError unless every value is a Python int: no float,
+    bool or numpy int, which size arithmetic would take or fail on late."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for (seed, stream); stream 0 is the generator of record."""
-    if type(seed) is not int:  # no float, bool or numpy int
-        raise ParameterError(f"seed must be an int, got {seed!r}")
+    check_ints(seed=seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,)) if stream else np.random.SeedSequence(entropy=seed)
@@ -73,9 +84,7 @@ class ModelParams:
     kbar: int
 
     def __post_init__(self):
-        for name in ("n", "k", "kbar"):
-            if type(getattr(self, name)) is not int:  # no float, bool or numpy int
-                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
+        check_ints(n=self.n, k=self.k, kbar=self.kbar)
         if not (1 <= self.k <= self.kbar <= self.n):
             raise ParameterError(
                 f"need 1 <= k <= kbar <= n, got n={self.n} k={self.k} kbar={self.kbar}"
@@ -220,20 +229,29 @@ class BitGraph:
 
 def sample_planted(n: int, k: int, seed: int) -> BitGraph:
     """Sample G(n, k, 1/2): every non-planted pair independently an edge
-    with probability 1/2, every planted pair forced.  Deterministic in seed."""
+    with probability 1/2, every planted pair forced.  Deterministic in seed:
+    the planted draw, then one stream bit per pair."""
     ModelParams(n, k, k)
     rng = rng_from_seed(seed)
     planted = tuple(sorted(int(v) for v in rng.permutation(n)[:k]))
+    return _pair_graph(rng.bytes((n * (n - 1) // 2 + 7) // 8), n, planted, seed)
 
-    npairs = n * (n - 1) // 2
-    raw = np.frombuffer(rng.bytes((npairs + 7) // 8), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:npairs]
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(1, n):  # pair (i, j), j < i, at flat index C(i,2)+j
-        adj[i, :i] = bits[i * (i - 1) // 2 : i * (i + 1) // 2]
-    adj[np.ix_(planted, planted)] = True
-    np.fill_diagonal(adj, False)
-    return _symmetric_graph(_pack_words(adj), planted, seed)
+
+def _pair_graph(pair_bits: bytes, n: int, planted: tuple = (), seed: int = 0) -> BitGraph:
+    """The graph on range(n) in which pair (i, j), j < i, is an edge iff bit
+    C(i,2)+j of pair_bits (little-endian within each byte) is set or both
+    ends are planted (ascending).  Lower-triangle row i is the i bits from
+    C(i,2), read as one int straight off the bytes, so no n x n array is built."""
+    lower = []
+    for i in range(n):
+        lo = i * (i - 1) // 2
+        row = int.from_bytes(pair_bits[lo >> 3 : (lo + i + 7) >> 3], "little")
+        lower.append(row >> (lo & 7) & ((1 << i) - 1))
+    below = 0  # the planted vertices before v: its clique edges in the lower triangle
+    for v in planted:
+        lower[v] |= below
+        below |= 1 << v
+    return _symmetric_graph(_row_words(lower, n), planted, seed)
 
 
 def _symmetric_graph(words: np.ndarray, planted: tuple, seed: int) -> BitGraph:

@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 import plandscape
-from plandscape import landscape, mcmc, ogp
+from plandscape import cli, landscape, mcmc, ogp
 from plandscape.cli import EXIT_BUDGET, EXIT_NOT_CERTIFIABLE, EXIT_REFUTED, EXIT_USAGE, build_parser, main
 from plandscape.errors import ParameterError
 from plandscape.model import BitGraph, load_graph, sample_planted, save_graph
@@ -255,6 +255,7 @@ def test_every_output_checked_before_any_work(tmp_path, monkeypatch, capsys, cmd
 
 @pytest.mark.parametrize("cmd", WRITERS)
 def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, cmd):
+    # and records the input graph, if any, with its sha256 and size
     monkeypatch.chdir(tmp_path)
     save_graph(sample_planted(14, 4, 0), "g.pcg")
     argv = WRITERS[cmd].format(g="g.pcg", out="o.out", trace="t.csv").split()
@@ -268,6 +269,17 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, cmd):
     for o in manifest["outputs"]:
         data = (tmp_path / o["path"]).read_bytes()
         assert (o["sha256"], o["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))
+    graph = (tmp_path / "g.pcg").read_bytes()
+    assert manifest["inputs"] == ([{"path": "g.pcg", "sha256": hashlib.sha256(graph).hexdigest(),
+                                    "bytes": len(graph)}] if "{g}" in WRITERS[cmd] else [])
+
+
+def test_file_entry_hashes_across_chunks(tmp_path):
+    path = tmp_path / "blob"
+    data = bytes(range(256)) * 10_000  # 2.4 MiB: two full 1 MiB chunks and a partial one
+    path.write_bytes(data)
+    assert cli._file_entry(str(path)) == {"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),
+                                          "bytes": len(data)}
 
 
 def test_readme_commands_are_the_benchmark_drive():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from plandscape import flatness
@@ -202,6 +203,21 @@ def test_sample_conditioned_edges_exact():
     assert g.edge_total() == 23
     g2 = sample_conditioned(10, 0.5, 3)
     assert g2.rows == g.rows  # deterministic
+
+
+def reference_sample_conditioned(K, gamma, seed):
+    """The edge-list sampler: the picked flat pair indices mapped to (i, j),
+    j < i, through np.tril_indices.  sample_conditioned must match it."""
+    npairs = math.comb(K, 2)
+    picks = rng_from_seed(seed).permutation(npairs)[:flatness.landscape._ceil_threshold(gamma * npairs)]
+    il, jl = np.tril_indices(K, -1)
+    return BitGraph.from_edges(K, [(int(il[p]), int(jl[p])) for p in picks])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 9, 18, 42, 63, 64, 65, 70])
+def test_sample_conditioned_matches_the_edge_list_sampler(K):
+    for gamma, seed in ((0.0, 0), (0.3, K), (0.6, 1), (1.0, 2)):
+        assert sample_conditioned(K, gamma, seed) == reference_sample_conditioned(K, gamma, seed)
 
 
 def edge_pairs(g):

@@ -1,10 +1,12 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from plandscape import model
+from plandscape import flatness, landscape, model
 from plandscape.errors import ParameterError
 from plandscape.model import (
     BitGraph,
@@ -75,6 +77,86 @@ def test_model_params_sizes_must_be_ints(sizes):
 def test_sample_planted_rejects_sizes_and_seeds_that_are_not_ints(args):
     with pytest.raises(ParameterError, match=r"^(n|k|seed) must be an int, got "):
         sample_planted(*args)
+
+
+GRAPH_8 = sample_planted(8, 3, 0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: flatness.sample_conditioned(3.0, 0.5, 0), id="sample_conditioned-K"),
+    pytest.param(lambda: landscape.densest_subgraph(GRAPH_8, 2.0), id="densest_subgraph-K"),
+    pytest.param(lambda: landscape.local_search_densest(GRAPH_8, 3.0), id="local_search-kbar"),
+    pytest.param(lambda: landscape.local_search_densest(GRAPH_8, 3, restarts=1.5), id="local_search-restarts"),
+    pytest.param(lambda: landscape.densest_with_overlap(GRAPH_8, 5.0, 1), id="densest_with_overlap-kbar"),
+    pytest.param(lambda: flatness.is_flat(flatness.sample_conditioned(6, 0.5, 0), 0.5, 0.2,
+                                          mode="sampled", samples=2.5), id="is_flat-samples"),
+    pytest.param(lambda: flatness.subset_slack(5, 2.5, 0.2, 0.5), id="subset_slack-ell"),
+])
+def test_library_sizes_must_be_ints(call):
+    # each raised a bare TypeError from math.comb, range or numpy before
+    with pytest.raises(ParameterError, match=r"^\w+ must be an int, got "):
+        call()
+
+
+def reference_sample_planted(n, k, seed):
+    """The matrix sampler: every pair bit unpacked from the stream into an
+    n x n bool matrix row by row, the clique filled in, then symmetrised.
+    sample_planted must match it bit for bit."""
+    rng = rng_from_seed(seed)
+    planted = tuple(sorted(int(v) for v in rng.permutation(n)[:k]))
+    npairs = n * (n - 1) // 2
+    raw = np.frombuffer(rng.bytes((npairs + 7) // 8), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:npairs]
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):  # pair (i, j), j < i, at flat index C(i,2)+j
+        adj[i, :i] = bits[i * (i - 1) // 2 : i * (i + 1) // 2]
+    adj[np.ix_(planted, planted)] = True
+    np.fill_diagonal(adj, False)
+    adj |= adj.T
+    rows = tuple(int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in adj)
+    return BitGraph(n, rows, planted, seed)
+
+
+# n up to 200, so rows span one to four 64-bit words; always each word edge
+N_AND_K = st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@settings(max_examples=200)
+@given(N_AND_K, st.integers(0, 2**64 - 1))
+@example((63, 7), 0)
+@example((64, 64), 1)
+@example((65, 1), 2)
+@example((127, 30), 3)
+@example((128, 2), 2**64 - 1)
+@example((129, 129), 5)
+def test_sample_planted_matches_the_matrix_sampler(nk, seed):
+    n, k = nk
+    g, want = sample_planted(n, k, seed), reference_sample_planted(n, k, seed)
+    assert (g.rows, g.planted, g.seed) == (want.rows, want.planted, want.seed)
+
+
+@pytest.mark.parametrize("n, k, seed, sha256", [
+    (3000, 40, 0, "e35350d080e6139490c0028a081c635aad0d25b000a265df469705a619232c23"),
+    (129, 7, 11, "5f829257c6370a070b5a59f3d7fe2b5cc6e39c4e475c32748c709343baca2942"),
+    (1, 1, 0, "3f89f9cf6b40cc63398ce1b4c47bd626bb55442f6cdac2bbda8a5e1a31079695"),
+])
+def test_sampled_graph_file_bytes_are_pinned(tmp_path, n, k, seed, sha256):
+    path = tmp_path / "g.pcg"
+    save_graph(sample_planted(n, k, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_sample_planted_builds_no_n_by_n_array():
+    # an n x n bool matrix alone is 9 MB at n = 3000; the packed rows,
+    # their transpose and the row ints take about 7 MB at peak
+    tracemalloc.start()
+    try:
+        sample_planted(3000, 40, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_planted_pairs_always_edges():
