@@ -123,11 +123,8 @@ def _cmd_classify(args, g):
     print(res.label)
     if not args.out:
         return {}
-    return {args.out: _json({
-        "n": args.n, "k": args.k, "kbar": args.kbar, "label": res.label,
-        "u1": res.u1, "u2": res.u2, "u1_scaled": res.u1_scaled,
-        "u2_scaled": res.u2_scaled, "depth": res.depth,
-    })}
+    return {args.out: _json({"n": args.n, "k": args.k, "kbar": args.kbar,
+                             **dataclasses.asdict(res)})}
 
 
 def _cmd_phase(args, g):
@@ -147,9 +144,7 @@ def _cmd_dense(args, g):
         if args.n is None:
             raise ParameterError("dense --predict needs --n")
         pred = landscape.densest_prediction(args.n, args.K)
-        return {args.out: _json({"n": pred.n, "K": pred.K,
-                                 "first_order": pred.first_order,
-                                 "second_order": pred.second_order})}
+        return {args.out: _json(dataclasses.asdict(pred))}
     if g is None:
         raise ParameterError("dense needs --graph (or --predict)")
     if args.method == "exhaustive":
@@ -246,8 +241,7 @@ def _cmd_few(args, g):
     threshold = mcmc.beta_scale_threshold(g.n, args.kbar)
     return {args.out: _json({
         "kbar": args.kbar, "beta": args.beta,
-        "partition": {"a0_max": part.a0_max, "a1_min": part.a1_min,
-                      "a1_max": part.a1_max, "a2_min": part.a2_min},
+        "partition": dataclasses.asdict(part),
         "ln_ratio": None if ratio == float("inf") else ratio,
         "ln_ratio_infinite": ratio == float("inf"),
         "beta_scale_threshold": threshold,
@@ -262,9 +256,7 @@ def _cmd_ogp(args, g):
         wit = ogp.dip_witness(curve)
         return {args.out: _json({
             "kbar": args.kbar, "certificate": None,
-            "evidence": None if wit is None else {
-                "z_star": wit.z_star, "dip_value": wit.dip_value,
-                "lo_value": wit.lo_value, "hi_value": wit.hi_value},
+            "evidence": None if wit is None else dataclasses.asdict(wit),
             "note": "heuristic curve: evidence only, not certifiable",
         })}, EXIT_NOT_CERTIFIABLE
     if (args.zeta1, args.zeta2, args.rn).count(None) not in (0, 3):

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, permutations
 
 import numpy as np
 
@@ -114,9 +112,10 @@ def gibbs_log_weight(g: BitGraph, s: VertexSubset, beta: float,
     return beta * edge_count(g, s)
 
 
-def acceptance(beta: float, kbar: int) -> dict:
-    """min(1, exp(beta * d)) per swap delta |d| <= kbar, with no exp overflow."""
-    return {d: math.exp(min(0.0, beta * d)) for d in range(-kbar, kbar + 1)}
+def acceptance(beta: float, kbar: int) -> list:
+    """min(1, exp(beta * d)) at acc[d] for every swap delta -kbar <= d <= kbar,
+    a negative d wrapping to the end, with no exp overflow: 2 kbar + 1 entries."""
+    return [math.exp(min(0.0, beta * d)) for d in (*range(kbar + 1), *range(-kbar, 0))]
 
 
 def run_chain(g: BitGraph, cfg: MCMCConfig, init: VertexSubset,
@@ -153,9 +152,7 @@ def run_chain(g: BitGraph, cfg: MCMCConfig, init: VertexSubset,
     if max_overlap is not None and ov > max_overlap:
         raise ParameterError(f"init overlap {ov} already above max_overlap {max_overlap}")
 
-    # acc[d] for d in -kbar..kbar (a negative d wraps); acc[d] = 1.0 > r for d >= 0
-    table = acceptance(cfg.beta, kbar)
-    acc = [table[d] for d in range(kbar + 1)] + [table[d] for d in range(-kbar, 0)]
+    acc = acceptance(cfg.beta, kbar)  # acc[d] = 1.0 > r for d >= 0
     bit = [1 << v for v in range(n)]
     planted = [pmask >> v & 1 for v in range(n)]
 
@@ -387,31 +384,42 @@ def hitting_time(g: BitGraph, cfg: MCMCConfig, budget: int = SUBSET_BUDGET) -> C
     return run_chain(g, cfg, init, stop_above=part.a1_max)
 
 
+def _swap_pairs(states: list, n: int, kbar: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the ordered pairs one swap apart among all
+    C(n, kbar) kbar-subsets `states`: those sharing a (kbar-1)-core
+    m ^ 1 << u.  Each core has n - kbar + 1 completions, so the sorted cores
+    fall into equal groups, each group's pairs one repeat and one tile."""
+    cores = np.array([m ^ 1 << u for m in states for u in mask_to_members(m)], dtype=object)
+    size = n - kbar + 1
+    groups = np.repeat(np.arange(len(states)), kbar)[np.argsort(cores)].reshape(-1, size)
+    off = ~np.eye(size, dtype=bool).ravel()  # drop each state's pair with itself
+    return np.repeat(groups, size, axis=1)[:, off].ravel(), np.tile(groups, size)[:, off].ravel()
+
+
 def transition_matrix(g: BitGraph, kbar: int, beta: float,
                       part: WellPartition | None = None,
                       budget: int = 4096) -> tuple[np.ndarray, list]:
     """Explicit Metropolis transition matrix over all kbar-subsets (desk
-    scale only).  With `part`, rows outside the band are dropped and
-    band-leaving proposals become self-loops (the reflected chain).  The
-    dense matrix takes 8 S^2 bytes for S states: 134 MB at the default
-    budget.  States one swap apart are those sharing a (kbar-1)-core."""
+    scale only): prop * acc[e_j - e_i] at each of the `_swap_pairs` between
+    kept states, the rest of each row on its diagonal.  With `part`, only
+    states of overlap <= a1_max are kept and band-leaving proposals become
+    self-loops (the reflected chain).  The dense matrix takes 8 S^2 bytes
+    for S states: 134 MB at the default budget."""
     ModelParams(g.n, g.k, kbar)  # validates k <= kbar <= n
     if kbar >= g.n:
         raise ParameterError("no swap neighbors when kbar = n")
     states, edges, ov = kbar_subsets(g, kbar, budget)
-    if part is not None:  # the reflected chain keeps only band states
-        keep = ov <= part.a1_max
-        states, edges = list(compress(states, keep)), edges[keep]
-    cores = defaultdict(list)
-    for i, mask in enumerate(states):
-        for u in mask_to_members(mask):
-            cores[mask ^ 1 << u].append(i)
+    keep = ov <= (g.k if part is None else part.a1_max)  # no overlap exceeds k
+    i, j = _swap_pairs(states, g.n, kbar)
+    both = keep[i] & keep[j]
+    i, j = i[both], j[both]
     prop = 1.0 / (kbar * (g.n - kbar))
-    acc = acceptance(beta, kbar)
-    e = edges.tolist()
-    t = np.zeros((len(states), len(states)))
-    for group in cores.values():
-        for i, j in permutations(group, 2):
-            t[i, j] = prop * acc[e[j] - e[i]]
+    w = prop * np.array(acceptance(beta, kbar))[edges[j] - edges[i]]
+    row = np.cumsum(keep) - 1  # each kept state's index among the kept
+    size = int(row[-1]) + 1
+    at = row[i] * size + row[j]
+    del i, j  # only the flat positions and weights live beside the matrix
+    t = np.zeros((size, size))
+    np.put(t, at, w)
     t[np.diag_indices_from(t)] = 1.0 - t.sum(axis=1)  # rejected and band-leaving mass
-    return t, states
+    return t, [m for m, kept in zip(states, keep.tolist()) if kept]

@@ -809,6 +809,28 @@ def test_transition_matrix_matches_per_swap_oracle(data, beta):
     assert t.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kbar", [65, 2])
+@pytest.mark.parametrize("roof", [None, 1, 0])
+def test_transition_matrix_matches_per_swap_oracle_past_one_word(kbar, roof):
+    # masks and (kbar-1)-cores span two 64-bit words.  Of the 66 states at
+    # kbar = 65 the bands keep 2 and none; of the 2145 at kbar = 2, 2144 and 2016
+    g = sample_planted(66, 2, 3)
+    part = None if roof is None else WellPartition(0, 0, roof, roof + 1)
+    t, states = transition_matrix(g, kbar, 1.5, part=part)
+    want, want_states = per_swap_transition_matrix(g, kbar, 1.5, part)
+    assert states == want_states and t.shape == (len(states),) * 2
+    assert t.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1e300])
+@pytest.mark.parametrize("kbar", [1, 4, 65])
+def test_acceptance_is_one_wrap_indexed_list(beta, kbar):
+    acc = acceptance(beta, kbar)  # at 1e300, exp(beta * d) would overflow for every d > 0
+    assert len(acc) == 2 * kbar + 1
+    for d in range(-kbar, kbar + 1):
+        assert acc[d] == math.exp(min(0.0, beta * d))
+
+
 def test_transition_matrix_limits():
     with pytest.raises(ParameterError, match="^no swap neighbors when kbar = n$"):
         transition_matrix(sample_planted(5, 2, 0), 5, 1.0)
