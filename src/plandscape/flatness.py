@@ -82,17 +82,19 @@ def _check_exhaustive(g: BitGraph, gamma: float, delta: float):
     if K > EXHAUSTIVE_LIMIT:
         raise ParameterError(f"exhaustive mode limited to K <= {EXHAUSTIVE_LIMIT}, got {K}")
     thr = _thresholds(K, gamma, delta)
-    masks = np.arange(1 << K, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int16)
-    edges = np.zeros(1 << K, dtype=np.int32)
-    for v in range(K):  # masks with top vertex v: v's edges into the rest, plus the rest
-        low = masks[: 1 << v]
-        edges[1 << v : 2 << v] = edges[: 1 << v] + np.bitwise_count(low & g.rows[v])
-    bad = np.nonzero(edges > thr[sizes])[0]
+    # a count exceeds thr iff it reaches floor(thr) + 1; +inf maps to 255, above C(22,2) = 231
+    lim = np.minimum(np.floor(thr) + 1, 255).astype(np.uint8)
+    sizes = np.zeros(1 << K, dtype=np.uint8)
+    edges = np.zeros(1 << K, dtype=np.uint8)
     out = []
-    for mask in bad:
-        ell = int(sizes[mask])
-        out.append((ell, mask_to_members(int(mask)), float(edges[mask] - thr[ell])))
+    for v in range(K):  # masks with top vertex v: the lower block plus v and its edges into it
+        size, top = sizes[1 << v : 2 << v], edges[1 << v : 2 << v]
+        np.add(sizes[: 1 << v], 1, out=size)
+        top[:] = edges[: 1 << v]
+        for b in mask_to_members(g.rows[v] & ((1 << v) - 1)):
+            top.reshape(-1, 2, 1 << b)[:, 1] += 1  # the masks in this block that hold b
+        for i in np.flatnonzero(top >= lim[size]):
+            out.append((int(size[i]), mask_to_members(int(i) | 1 << v), float(top[i] - thr[size[i]])))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

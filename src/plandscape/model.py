@@ -143,12 +143,10 @@ def check_overlap(z: int, dom: range) -> None:
 
 def mask_to_members(mask: int) -> tuple[int, ...]:
     out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+    while mask:  # lowest set bit first, one step per member
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -153,6 +153,46 @@ def test_exhaustive_agrees_with_gray_code_oracle():
         assert {(ell, mem) for ell, mem, _ in rep.violations} == oracle_viol
 
 
+def per_mask_violations(g, gamma, delta):
+    """Reference for exhaustive mode: every mask counted on its own through
+    the packed rows, against the same float thresholds."""
+    thr = _thresholds(g.n, gamma, delta)
+    out = []
+    for mask in range(1 << g.n):
+        ell, edges = mask.bit_count(), g.count_in_mask(mask)
+        if edges > thr[ell]:
+            out.append((ell, tuple(v for v in range(g.n) if mask >> v & 1), float(edges - thr[ell])))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 12])
+def test_exhaustive_violation_list_matches_per_mask_reference(K):
+    # the whole list in order, excess bits included; the gray-code tests
+    # compare only the set of (ell, members)
+    complete = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    for gamma in (0.0, 0.3, 0.6, 1.0):
+        graphs = (BitGraph.from_edges(K, []), BitGraph.from_edges(K, complete),
+                  sample_conditioned(K, gamma, K), sample_conditioned(K, 1 - gamma, K + 1))
+        for g in graphs:
+            for delta in (0.01, 0.2, 0.99):
+                rep = is_flat(g, gamma, delta)
+                assert list(rep.violations) == per_mask_violations(g, gamma, delta), (gamma, delta)
+
+
+def test_exhaustive_sweep_holds_only_byte_tables():
+    # the sizes and edge tables are uint8, 256 KiB each at K = 18, and one
+    # block's compare adds half that again; an int64 mask table alone would
+    # be 2 MiB
+    g = sample_conditioned(18, 0.6, 0)
+    tracemalloc.start()
+    try:
+        is_flat(g, 0.6, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 def test_sampled_mode_finds_planted_violation():
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     edges += [(8, 9), (10, 11), (12, 13)]

@@ -1,14 +1,10 @@
-import importlib.util
-import json
 import math
-import pathlib
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import plandscape
 from plandscape import landscape, model
 from plandscape.errors import BudgetError, DomainError, ParameterError
 from plandscape.flatness import sample_conditioned
@@ -753,17 +749,8 @@ def test_error_exponent_reporting_formula():
         error_exponent_bound(0.5)
 
 
-def test_desk_exact_outputs_match_the_benchmark_reference():
-    # pass 0 of the desk_exact benchmark workload on both shipped seeds, run
-    # in-process: a changed witness or value fails here, not only in a
-    # benchmark run; perfbench/workloads.py is read, never modified
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    ref = json.loads((path / "reference.json").read_text())["desk_exact"]
-    wl = workloads.WORKLOADS["desk_exact"]
-    for seed in (0, 1):
-        for i, inp in enumerate(wl.pass_inputs(seed, 0)):
-            got = workloads.digest(wl.values(inp, wl.run(plandscape, inp, {}), {}))
-            assert got == ref[str(seed)][str(i)], (seed, i)
+def test_desk_exact_outputs_match_the_benchmark_reference(pass_zero_digests):
+    # pass 0 of the desk_exact benchmark workload on both shipped seeds: a
+    # changed witness or value fails here, not only in a benchmark run
+    got, want = pass_zero_digests("desk_exact")
+    assert got == want

@@ -14,6 +14,7 @@ from plandscape.model import (
     VertexSubset,
     edge_count,
     load_graph,
+    mask_to_members,
     overlap,
     rng_from_seed,
     sample_planted,
@@ -177,6 +178,29 @@ def test_edge_count_against_naive_loop():
         assert edge_count(g, s) == naive_edge_count(g, members)
         if size <= 1:
             assert edge_count(g, s) == 0
+
+
+def shift_mask_to_members(mask):
+    """The bit-at-a-time walk that mask_to_members replaced: O(top bit)."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**200))
+@example(0)
+@example(1)
+@example(2**64 - 1)
+@example(2**64)
+@example(2**200)
+def test_mask_to_members_matches_the_shift_loop(mask):
+    assert mask_to_members(mask) == shift_mask_to_members(mask)
 
 
 def test_overlap_against_sorted_merge():

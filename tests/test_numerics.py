@@ -797,3 +797,11 @@ def test_curves_match_40_digit_mpmath(triple):
         for z in sorted({*range(lo, hi + 1, 9), hi}):
             ref = _mp_curve(kind, p, z)
             assert float(abs((curve.value(z) - ref) / ref)) <= ACCURACY_REL, (kind, z)
+
+
+def test_paper_curves_outputs_match_the_benchmark_reference(pass_zero_digests):
+    # pass 0 of the paper_curves benchmark workload on both shipped seeds: a
+    # changed curve value, label or phase cell fails here, not only in a
+    # benchmark run
+    got, want = pass_zero_digests("paper_curves")
+    assert got == want
