@@ -10,7 +10,6 @@ ratios and conditional initial laws are checked against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -244,37 +243,18 @@ def _normalized(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ExactGibbs:
-    """pi_beta by full enumeration of the C(n, kbar) subsets."""
+    """pi_beta by full enumeration of the C(n, kbar) subsets: masks[i],
+    log_weights[i], overlaps[i] and probs()[i] describe one state, the i-th
+    in `kbar_subsets` order."""
 
     params: ModelParams
-    beta: float
     masks: list
     log_weights: np.ndarray
     overlaps: np.ndarray
     log_z: float
 
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {m: i for i, m in enumerate(self.masks)}
-
-    @functools.cached_property
-    def _probs(self) -> np.ndarray:
-        return _normalized(self.log_weights)
-
     def probs(self) -> np.ndarray:
-        return self._probs.copy()
-
-    def prob_of(self, mask: int) -> float:
-        i = self._index.get(mask)
-        if i is None:
-            raise ParameterError(f"mask {mask!r} is not a {self.params.kbar}-subset "
-                                 f"of the {self.params.n} vertices")
-        return float(self._probs[i])
-
-    def overlap_marginal(self) -> np.ndarray:
-        """Probability mass per overlap value, indexed 0..k."""
-        p = self.probs()  # an overlap no subset has sums to 0.0
-        return np.array([p[self.overlaps == z].sum() for z in range(self.params.k + 1)])
+        return _normalized(self.log_weights)
 
     def log_band_mass(self, z_lo: int, z_hi: int) -> float:
         """ln pi(overlap in [z_lo, z_hi]); -inf for an empty band."""
@@ -293,16 +273,11 @@ class ExactGibbs:
             return math.inf
         return min(a0, a2) - a1
 
-    def sample(self, rng: np.random.Generator, size: int = 1,
-               max_overlap: int | None = None) -> list:
-        """Masks drawn from pi_beta, optionally conditioned on
-        overlap <= max_overlap."""
-        if max_overlap is not None:
-            sel = np.nonzero(self.overlaps <= max_overlap)[0]
-            if sel.size == 0:
-                raise ParameterError(f"no subsets with overlap <= {max_overlap}")
-        else:
-            sel = np.arange(len(self.masks))
+    def sample(self, rng: np.random.Generator, size: int = 1, *, max_overlap: int) -> list:
+        """Masks drawn from pi_beta conditioned on overlap <= max_overlap."""
+        sel = np.nonzero(self.overlaps <= max_overlap)[0]
+        if sel.size == 0:
+            raise ParameterError(f"no subsets with overlap <= {max_overlap}")
         picks = rng.choice(sel.size, size=size, p=_normalized(self.log_weights[sel]))
         return [self.masks[sel[i]] for i in picks]
 
@@ -317,7 +292,7 @@ def exact_gibbs(g: BitGraph, kbar: int, beta: float,
         raise ParameterError(f"beta * C(kbar, 2) overflows: beta={beta}, kbar={kbar}")
     masks, edges, overlaps = kbar_subsets(g, kbar, budget)
     weights = float(beta) * edges
-    return ExactGibbs(params=p, beta=beta, masks=masks, log_weights=weights,
+    return ExactGibbs(params=p, masks=masks, log_weights=weights,
                       overlaps=overlaps, log_z=_log_sum_exp(weights))
 
 
@@ -350,6 +325,10 @@ def conditional_init(g: BitGraph, kbar: int, beta: float, part: WellPartition,
     Exact conditional sampling whenever enumeration fits the budget;
     otherwise a reflected-chain burn-in of 200 * n steps from a uniform
     low-overlap subset (its length reported via return_info)."""
+    least = ModelParams(g.n, g.k, kbar).overlaps.start
+    if least > part.a1_max:
+        raise ParameterError(f"no {kbar}-subset has overlap <= a1_max = {part.a1_max}: "
+                             f"the least feasible overlap is {least}")
     rng = rng_from_seed(seed, stream=7)
     try:
         eg = exact_gibbs(g, kbar, beta, budget)
@@ -362,11 +341,7 @@ def conditional_init(g: BitGraph, kbar: int, beta: float, part: WellPartition,
     non_planted = g.non_planted
     base = min(kbar, len(non_planted))
     members = [non_planted[i] for i in rng.permutation(len(non_planted))[:base]]
-    if base < kbar:  # forced planted vertices; stay under the band roof
-        need = kbar - base
-        if need > part.a1_max:
-            raise ParameterError("band cannot hold any kbar-subset")
-        members += list(g.planted[:need])
+    members += list(g.planted[:kbar - base])  # forced planted vertices, at most a1_max
     steps = 200 * g.n
     cfg = MCMCConfig(beta=beta, kbar=kbar, t_max=steps, seed=seed ^ 0x5EED, stride=steps)
     trace = run_chain(g, cfg, VertexSubset.from_iterable(members),
@@ -403,8 +378,10 @@ def transition_matrix(g: BitGraph, kbar: int, beta: float,
     scale only): prop * acc[e_j - e_i] at each of the `_swap_pairs` between
     kept states, the rest of each row on its diagonal.  With `part`, only
     states of overlap <= a1_max are kept and band-leaving proposals become
-    self-loops (the reflected chain).  The dense matrix takes 8 S^2 bytes
-    for S states: 134 MB at the default budget."""
+    self-loops (the reflected chain).  The states returned are the kept
+    masks in `kbar_subsets` order, so row i is `exact_gibbs` state i, or
+    with `part` the i-th state of overlap <= a1_max.  The dense matrix takes
+    8 S^2 bytes for S states: 134 MB at the default budget."""
     ModelParams(g.n, g.k, kbar)  # validates k <= kbar <= n
     if kbar >= g.n:
         raise ParameterError("no swap neighbors when kbar = n")

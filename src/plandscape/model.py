@@ -136,7 +136,8 @@ def feasible_overlaps(n: int, k: int, kbar: int) -> range:
 
 
 def check_overlap(z: int, dom: range) -> None:
-    if not dom.start <= z < dom.stop:  # not `in`: that scans for numpy ints
+    check_ints(z=z)
+    if z not in dom:
         raise ParameterError(f"overlap z={z} infeasible: feasible overlaps are "
                              f"{dom.start}..{dom.stop - 1}")
 

@@ -271,20 +271,13 @@ def first_moment_sqrt_approx(p: ModelParams, z: int, use_k_quadratic: bool = Fal
     `use_k_quadratic=True` swaps C(kbar,2) -> C(k,2) in both occurrences,
     reproducing the plotted small-clique variant of the formula.
     """
-    az = log_placements(p, z)
-    if az < 0:
-        raise DomainError("negative placement log-count")
+    az = log_placements(p, z)  # >= 0, and big >= C(z,2) since z <= min(k, kbar)
     big, cz = _choose2(p.k if use_k_quadratic else p.kbar), _choose2(z)
-    m = big - cz
-    if m < 0:
-        raise ParameterError(f"quadratic term negative at z={z}")
-    return 0.5 * (big + cz) + math.sqrt(m * az / 2.0)
+    return 0.5 * (big + cz) + math.sqrt((big - cz) * az / 2.0)
 
 
 def _sqrt_approx(p: ModelParams, zs: range, a: np.ndarray) -> np.ndarray:
     _, m, s = _quadratic_terms(_choose2(p.kbar), zs)
-    if (bad := (a < 0) | (m < 0)).any():
-        first_moment_sqrt_approx(p, zs[bad.argmax()])
     return 0.5 * s + np.sqrt(m * a / 2.0)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, ParameterError
-from .model import BitGraph, VertexSubset
+from .model import BitGraph, VertexSubset, check_ints
 from .numerics import ModelParams, OverlapCurve, overlap_window
 from . import landscape
 
@@ -92,6 +92,7 @@ def certify_ogp(curve: OverlapCurve, zeta1: int, zeta2: int, r_n: float) -> OGPC
     Witness subsets come from the stored per-overlap maximizers."""
     if not curve.exact:
         raise CertificationError("certification requires an exhaustively computed curve")
+    check_ints(zeta1=zeta1, zeta2=zeta2)
     if not math.isfinite(r_n):
         raise ParameterError(f"r_n must be finite, got {r_n}")
     if not (curve.z_lo <= zeta1 < zeta2 <= curve.z_hi):

@@ -127,6 +127,43 @@ def test_d_curve_and_ogp_exit_codes(tmp_path):
         pytest.fail("no dip-free seed found")
 
 
+def test_ogp_with_caller_supplied_thresholds(tmp_path):
+    # --zeta1 --zeta2 --rn certify the exact curve at the caller's thresholds:
+    # cert.json is certify_ogp's certificate field for field, exit 0 when it
+    # holds and 3 when it is refuted
+    g = tmp_path / "g.pcg"
+    main(["sample", "--n", "14", "--k", "4", "--seed", "0", "--out", str(g)])
+    curve = overlap_curve(load_graph(g), 5)
+    lo, hi = curve.z_lo, curve.z_hi
+
+    def members(s):
+        return None if s is None else list(s.members)
+
+    # an empty band holds at r_n = 0; r_n above C(5,2) fails condition (1);
+    # the whole window as the band puts a dense subset in it
+    for zeta1, zeta2, r_n, want_rc in [(lo, lo + 1, 0.0, 0), (lo, hi, 11.0, EXIT_REFUTED),
+                                       (lo, hi, 0.0, EXIT_REFUTED)]:
+        out = tmp_path / "cert.json"
+        rc = main(["ogp", "--graph", str(g), "--kbar", "5", "--zeta1", str(zeta1),
+                   "--zeta2", str(zeta2), "--rn", str(r_n), "--out", str(out)])
+        want = ogp.certify_ogp(curve, zeta1, zeta2, r_n)
+        assert (rc, want.holds) == (want_rc, want_rc == 0)
+        viol = want.violation and {"z": want.violation[0], "subset": members(want.violation[1])}
+        assert json.loads(out.read_text()) == {
+            "schema": "v1", "kbar": 5, "thresholds": "caller-supplied", "holds": want.holds,
+            "zeta1": zeta1, "zeta2": zeta2, "r_n": r_n,
+            "low_witness": members(want.low_witness), "high_witness": members(want.high_witness),
+            "violation": viol, "reason": want.reason}
+
+
+def test_cli_pipeline_outputs_match_the_benchmark_reference(pass_zero_digests):
+    # pass 0 of the cli_pipeline benchmark workload on both shipped seeds, each
+    # README command run through main: a changed output file, stdout line or
+    # exit code fails here, not only in a benchmark run
+    got, want = pass_zero_digests("cli_pipeline")
+    assert got == want
+
+
 def test_flatness_json(tmp_path):
     out = tmp_path / "flat.json"
     rc = main(["flatness", "--K", "14", "--gamma", "0.6", "--delta", "0.2",

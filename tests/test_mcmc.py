@@ -1,10 +1,7 @@
 import hashlib
-import importlib.util
 import json
 import math
-import pathlib
 import statistics
-import sys
 from collections import Counter
 from itertools import compress
 
@@ -12,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import plandscape
 from plandscape import mcmc, ogp
 from plandscape.errors import BudgetError, ParameterError
 from plandscape.landscape import densest_with_overlap, kbar_subsets
 from plandscape.mcmc import (
     ChainTrace,
-    ExactGibbs,
     MCMCConfig,
     WellPartition,
     acceptance,
@@ -532,7 +527,8 @@ def test_exact_gibbs_uniform_at_beta_zero():
 
 def test_exact_gibbs_overlap_marginal_hypergeometric():
     g = sample_planted(12, 4, 11)
-    marg = exact_gibbs(g, 4, 0.0).overlap_marginal()
+    eg = exact_gibbs(g, 4, 0.0)
+    marg = np.bincount(eg.overlaps, weights=eg.probs())
     for z in range(5):
         want = math.comb(4, z) * math.comb(8, 4 - z) / math.comb(12, 4)
         assert marg[z] == pytest.approx(want, abs=1e-12)
@@ -548,15 +544,12 @@ def test_exact_gibbs_matches_independent_enumerator():
     g = sample_planted(12, 4, 11)
     beta = 0.5
     eg = exact_gibbs(g, 4, beta)
-    weights = {}
-    for c in combinations(range(12), 4):
-        e = sum(g.has_edge(a, b) for i, a in enumerate(c) for b in c[i + 1 :])
-        weights[c] = mp.exp(beta * e)
-    z = sum(weights.values())
-    worst = 0.0
-    for c, w in weights.items():
-        mask = sum(1 << v for v in c)
-        worst = max(worst, abs(eg.prob_of(mask) - float(w / z)))
+    subsets = list(combinations(range(12), 4))
+    assert [sum(1 << v for v in c) for c in subsets] == eg.masks  # state i is subsets[i]
+    weights = [mp.exp(beta * sum(g.has_edge(a, b) for i, a in enumerate(c) for b in c[i + 1 :]))
+               for c in subsets]
+    z = sum(weights)
+    worst = max(abs(p - float(w / z)) for p, w in zip(eg.probs().tolist(), weights))
     assert worst <= 1e-10
 
 
@@ -609,35 +602,12 @@ def test_mcmc_config_needs_int_sizes(field, value):
         MCMCConfig(beta=1.0, seed=0, **sizes)
 
 
-def test_desk_chain_outputs_match_the_benchmark_reference(monkeypatch):
+def test_desk_chain_outputs_match_the_benchmark_reference(pass_zero_digests):
     # pass 0 of the desk_chain benchmark workload on both shipped seeds, its
-    # prologue included, run in-process: a changed trace, hit time or visit
-    # count fails here, not only in a benchmark run; perfbench is read only
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    modules = {}
-    for name in ("workloads", "worker"):  # worker.py imports workloads by name
-        spec = importlib.util.spec_from_file_location(name, path / f"{name}.py")
-        modules[name] = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, modules[name])
-        spec.loader.exec_module(modules[name])
-    workloads, worker = modules["workloads"], modules["worker"]
-    ref = json.loads((path / "reference.json").read_text())["desk_chain"]
-    wl = workloads.WORKLOADS["desk_chain"]
-    for seed in (0, 1):
-        pro = wl.prologue(plandscape, worker.prologue_seed(seed, 0))
-        got = workloads.digest(worker.plain(wl.prologue_values(pro)))
-        assert got == ref[str(seed)]["0:prologue"], seed
-        for i, inp in enumerate(wl.pass_inputs(seed, 0)):
-            got = workloads.digest(worker.plain(wl.values(inp, wl.run(plandscape, inp, {}), {})))
-            assert got == ref[str(seed)][str(i)], (seed, i)
-
-
-def test_exact_gibbs_prob_of_rejects_masks_off_the_state_space():
-    eg = exact_gibbs(sample_planted(8, 2, 0), 3, 1.0)
-    assert eg.prob_of(0b111) > 0.0
-    for mask in (0b11, 0, 0b1111, 1 << 8 | 0b11):  # too few, too many, vertex 8 >= n
-        with pytest.raises(ParameterError, match=f"mask {mask} is not a 3-subset"):
-            eg.prob_of(mask)
+    # prologue included: a changed trace, hit time or visit count fails here,
+    # not only in a benchmark run
+    got, want = pass_zero_digests("desk_chain")
+    assert got == want
 
 
 # --- wells ----------------------------------------------------------------------
@@ -719,6 +689,30 @@ def test_conditional_init_burn_in_mode():
     assert len(set(s.members) & set(g.planted)) <= DESK_PART.a1_max
 
 
+def test_conditional_init_empty_band_gives_one_message_in_both_modes():
+    # kbar = 9 of n = 10 takes at least 4 of the 5 planted vertices, and
+    # a1_max = 1; the exact mode and the burn-in (budget 0) used to differ
+    g = sample_planted(10, 5, 0)
+    part = WellPartition.from_params(10, 5, 9, 0.05, 0.1)
+    assert part.a1_max == 1
+    for budget in (mcmc.SUBSET_BUDGET, 0):
+        with pytest.raises(ParameterError, match=r"^no 9-subset has overlap <= a1_max = 1: "
+                                                 r"the least feasible overlap is 4$"):
+            conditional_init(g, 9, 1.0, part, seed=0, budget=budget)
+
+
+def test_conditional_init_burn_in_forces_planted_vertices():
+    # kbar = 7 > n - k = 5: the burn-in start takes every non-planted vertex
+    # and 2 planted ones, under the band roof a1_max = 5
+    g = sample_planted(10, 5, 0)
+    part = WellPartition.from_params(10, 5, 7, 0.25, 1.0)
+    assert part.a1_max == 5
+    for seed in range(5):
+        s, info = conditional_init(g, 7, 1.0, part, seed=seed, budget=0, return_info=True)
+        assert info == {"mode": "burnin", "burn_in": 2000}
+        assert s.size == 7 and 2 <= len(set(s.members) & set(g.planted)) <= 5
+
+
 # --- reflected chain ---------------------------------------------------------------
 
 
@@ -750,7 +744,9 @@ def test_reflected_transition_matrix_reversible_for_conditional():
     part = WellPartition(a0_max=0, a1_min=1, a1_max=1, a2_min=1)
     t, states = transition_matrix(g, 3, 1.0, part=part)
     eg = exact_gibbs(g, 3, 1.0)
-    pi = np.array([eg.prob_of(m) for m in states])
+    band = eg.overlaps <= part.a1_max
+    assert states == list(compress(eg.masks, band))  # the exact states in the band, in order
+    pi = eg.probs()[band]
     pi /= pi.sum()
     worst = np.abs(pi[:, None] * t - (pi[:, None] * t).T).max()
     assert worst <= 1e-12
@@ -848,7 +844,6 @@ def test_exact_gibbs_normalized_and_reversible_at_any_beta(beta):
     eg = exact_gibbs(g, 3, beta)
     pi = eg.probs()
     assert abs(math.fsum(pi.tolist()) - 1.0) <= 1e-12
-    assert abs(math.fsum(eg.prob_of(m) for m in eg.masks) - 1.0) <= 1e-12
     t, states = transition_matrix(g, 3, beta)
     assert states == eg.masks
     flow = pi[:, None] * t

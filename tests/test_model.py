@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plandscape import flatness, landscape, model
+from plandscape import flatness, landscape, model, numerics, ogp
 from plandscape.errors import ParameterError
 from plandscape.model import (
     BitGraph,
@@ -97,6 +97,30 @@ def test_library_sizes_must_be_ints(call):
     # each raised a bare TypeError from math.comb, range or numpy before
     with pytest.raises(ParameterError, match=r"^\w+ must be an int, got "):
         call()
+
+
+P_8 = ModelParams(8, 3, 5)
+OVERLAP_CALLS = {
+    "densest_with_overlap": lambda z: landscape.densest_with_overlap(GRAPH_8, 5, z),
+    "local_search_densest": lambda z: landscape.local_search_densest(GRAPH_8, 5, z=z),
+    **{f.__name__: lambda z, f=f: f(P_8, z) for f in (
+        numerics.log_placements, numerics.first_moment_curve, numerics.first_moment_sqrt_approx,
+        numerics.sqrt_approx_renormalized, numerics.first_moment_expansion)},
+    "curve_grid-z_lo": lambda z: numerics.curve_grid(P_8, "gamma", z_lo=z),
+    "curve_grid-z_hi": lambda z: numerics.curve_grid(P_8, "gamma", z_lo=1, z_hi=z),
+    "certify_ogp-zeta1": lambda z: ogp.certify_ogp(ogp.overlap_curve(GRAPH_8, 5), z, 3, 4.0),
+    "certify_ogp-zeta2": lambda z: ogp.certify_ogp(ogp.overlap_curve(GRAPH_8, 5), 1, z, 4.0),
+}
+
+
+@pytest.mark.parametrize("z", [2.0, True, np.int64(2)], ids=repr)
+@pytest.mark.parametrize("name", OVERLAP_CALLS)
+def test_overlap_arguments_must_be_ints(name, z):
+    # a float leaked a bare TypeError from math.comb, combinations or range,
+    # and True ran as z = 1; each call answers at the int 2
+    OVERLAP_CALLS[name](2)
+    with pytest.raises(ParameterError, match=r"^(z|zeta1|zeta2) must be an int, got "):
+        OVERLAP_CALLS[name](z)
 
 
 def reference_sample_planted(n, k, seed):
