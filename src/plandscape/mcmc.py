@@ -376,13 +376,14 @@ def transition_matrix(g: BitGraph, kbar: int, beta: float,
                       budget: int = 4096) -> tuple[np.ndarray, list]:
     """Explicit Metropolis transition matrix over all kbar-subsets (desk
     scale only): prop * acc[e_j - e_i] at each of the `_swap_pairs` between
-    kept states, the rest of each row on its diagonal.  With `part`, only
-    states of overlap <= a1_max are kept and band-leaving proposals become
-    self-loops (the reflected chain).  The states returned are the kept
-    masks in `kbar_subsets` order, so row i is `exact_gibbs` state i, or
-    with `part` the i-th state of overlap <= a1_max.  The dense matrix takes
-    8 S^2 bytes for S states: 134 MB at the default budget."""
+    kept states, the rest of each row on its diagonal, clipped at 0 (rounding
+    leaves -2.2e-16 on some fully accepted rows).  With `part`, only states
+    of overlap <= a1_max are kept and band-leaving proposals become self-loops
+    (the reflected chain).  The states are the kept masks in `kbar_subsets`
+    order, so row i is `exact_gibbs` state i, or with `part` the i-th state
+    of overlap <= a1_max.  The matrix takes 8 S^2 bytes for S states, 134 MB at the default budget."""
     ModelParams(g.n, g.k, kbar)  # validates k <= kbar <= n
+    _check_beta(beta)
     if kbar >= g.n:
         raise ParameterError("no swap neighbors when kbar = n")
     states, edges, ov = kbar_subsets(g, kbar, budget)
@@ -398,5 +399,5 @@ def transition_matrix(g: BitGraph, kbar: int, beta: float,
     del i, j  # only the flat positions and weights live beside the matrix
     t = np.zeros((size, size))
     np.put(t, at, w)
-    t[np.diag_indices_from(t)] = 1.0 - t.sum(axis=1)  # rejected and band-leaving mass
+    t[np.diag_indices_from(t)] = np.maximum(1.0 - t.sum(axis=1), 0.0)  # rejected and band-leaving mass
     return t, [m for m, kept in zip(states, keep.tolist()) if kept]

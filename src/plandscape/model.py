@@ -6,20 +6,22 @@ k >= 1 raise ParameterError through `ModelParams`.  Graphs are stored as
 packed bit rows (one Python int per vertex, bit j of row i set iff {i, j}
 is an edge) so that edge counting reduces to word-parallel AND + popcount.
 `BitGraph.words` is the one packed view of those rows: n x ceil(n/64)
-little-endian uint64 words, built by the constructor (the one check of a
-graph) and read by batch kernels; `BitGraph.dense`, the n x n uint8 matrix
-of vectorised kernels, is unpacked from it.  Only this module knows the
-layout.  Both samplers (`sample_planted` here, `flatness.sample_conditioned`)
-and `load_graph` end in one builder: Python-int lower-triangle rows, packed
-and OR'd with their transpose 64 rows at a time, so building a graph never
-makes an n x n array.  `planted` is any set of distinct vertices in a
-hand-built graph and a clique in every sampled or loaded one.  Randomness
-is numpy's Philox keyed by a 64-bit seed, so samples are bit-reproducible
-across platforms.
+little-endian uint64 words, built on first use and read by batch kernels;
+`BitGraph.dense`, the n x n uint8 matrix of vectorised kernels, is unpacked
+from it.  Only this module knows the layout.  A hand-built graph takes the
+constructor's full check.  Both samplers (`sample_planted` here,
+`flatness.sample_conditioned`) and `load_graph` stream lower-triangle rows
+into packed words and OR them in place with their transpose, 64 rows at a
+time, never building an n x n array; symmetric with a zero diagonal by
+construction, their graphs take the trusted path, which checks only that the
+planted set is distinct and in range (the loader also checks it is a clique).
+Randomness is numpy's Philox keyed by a 64-bit seed, so samples are
+bit-reproducible across platforms.
 """
 
 from __future__ import annotations
 
+import binascii
 import functools
 from dataclasses import dataclass
 
@@ -53,18 +55,21 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def _row_words(rows, n: int) -> np.ndarray:
-    """Read-only packed words of Python-int rows, each a bit set over range(n)."""
-    width = -(-n // 64)
-    raw = b"".join(r.to_bytes(8 * width, "little") for r in rows)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width)
+    """Packed words of n int rows over range(n), from any iterable into one buffer."""
+    words = np.zeros((n, -(-n // 64)), dtype="<u8")
+    raw, size = memoryview(words.reshape(-1).view(np.uint8)), 8 * words.shape[1]
+    for i, r in enumerate(rows):
+        raw[i * size : (i + 1) * size] = r.to_bytes(size, "little")
+    return words
 
 
-def _transpose_words(words: np.ndarray) -> np.ndarray:
-    """Packed words of the transpose of the square bit matrix in words, 64 rows at a time."""
-    out = np.empty_like(words)
+def _transpose_words(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """OR the packed transpose of square bit matrix words into out (or zeros), 64 rows at a time.  out
+    may be words if strictly lower-triangular: rows from lo write only rows < lo + 64, which no later block reads."""
+    out = np.zeros_like(words) if out is None else out
     for lo in range(0, len(words), 64):
         bits = np.unpackbits(words[lo:lo + 64].view(np.uint8), axis=1, count=len(words), bitorder="little")
-        out[:, lo // 64] = _pack_words(bits.T)[:, 0]
+        out[:, lo // 64] |= _pack_words(bits.T)[:, 0]
     return out
 
 
@@ -155,21 +160,22 @@ def mask_to_members(mask: int) -> tuple[int, ...]:
 class BitGraph:
     """Undirected graph on [0, n) with symmetric bit-row adjacency and distinct
     planted vertices: a clique if sampled or loaded, any set if hand-built, and
-    none (k = 0) in a plain graph, whose every subset has overlap 0."""
+    none (k = 0) in a plain graph, whose every subset has overlap 0.  A hand-built
+    graph takes the full check; sampled and loaded ones the trusted path (planted only)."""
 
     n: int
     rows: tuple[int, ...]  # rows[i] bit j == adjacency(i, j); zero diagonal
     planted: tuple[int, ...] = ()
     seed: int = 0
 
-    def __post_init__(self):  # the one check of a graph
+    def __post_init__(self, trusted: bool = False):
         n, rows, planted = self.n, self.rows, self.planted
-        if type(n) is not int or len(rows) != n or \
-                any(type(r) is not int or r >> n or r >> i & 1 for i, r in enumerate(rows)):
-            raise ParameterError(f"need n = {n!r} rows, each a bit set over range(n) with a zero diagonal")
-        words = self.words  # built once per graph: the check caches it
-        if not np.array_equal(_transpose_words(words), words):
-            raise ParameterError("rows must be symmetric")
+        if not trusted:  # the full check, which every hand-built graph takes
+            if type(n) is not int or len(rows) != n or \
+                    any(type(r) is not int or r >> n or r >> i & 1 for i, r in enumerate(rows)):
+                raise ParameterError(f"need n = {n!r} rows, each a bit set over range(n) with a zero diagonal")
+            if not np.array_equal(_transpose_words(words := _row_words(rows, n)), words):
+                raise ParameterError("rows must be symmetric")
         if len(set(planted)) != len(planted) or any(type(v) is not int or not 0 <= v < n for v in planted):
             raise ParameterError(f"planted vertices must be distinct and in range({n}): {planted}")
 
@@ -186,7 +192,9 @@ class BitGraph:
     @functools.cached_property
     def words(self) -> np.ndarray:
         """Read-only n x ceil(n/64) uint64 words of the rows: the one packed view."""
-        return _row_words(self.rows, self.n)
+        words = _row_words(self.rows, self.n)
+        words.flags.writeable = False
+        return words
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -239,23 +247,24 @@ def sample_planted(n: int, k: int, seed: int) -> BitGraph:
 def _pair_graph(pair_bits: bytes, n: int, planted: tuple = (), seed: int = 0) -> BitGraph:
     """The graph on range(n) in which pair (i, j), j < i, is an edge iff bit
     C(i,2)+j of pair_bits (little-endian within each byte) is set or both
-    ends are planted (ascending).  Lower-triangle row i is the i bits from
-    C(i,2), read as one int straight off the bytes, so no n x n array is built."""
-    lower = []
-    for i in range(n):
+    ends are planted.  Lower-triangle row i is the i bits from C(i,2), read as
+    one int straight off the bytes into the packed words: no list of rows."""
+    clique = sum(1 << v for v in planted)
+
+    def lower(i: int) -> int:  # a planted i gains the planted vertices below it
         lo = i * (i - 1) // 2
-        row = int.from_bytes(pair_bits[lo >> 3 : (lo + i + 7) >> 3], "little")
-        lower.append(row >> (lo & 7) & ((1 << i) - 1))
-    below = 0  # the planted vertices before v: its clique edges in the lower triangle
-    for v in planted:
-        lower[v] |= below
-        below |= 1 << v
-    return _symmetric_graph(_row_words(lower, n), planted, seed)
+        row = int.from_bytes(pair_bits[lo >> 3 : (lo + i + 7) >> 3], "little") >> (lo & 7)
+        return (row | clique if clique >> i & 1 else row) & ((1 << i) - 1)
+    return _symmetric_graph(_row_words(map(lower, range(n)), n), planted, seed)
 
 
 def _symmetric_graph(words: np.ndarray, planted: tuple, seed: int) -> BitGraph:
-    """The graph of zero-diagonal packed bit rows OR'd with their transpose."""
-    return BitGraph(len(words), tuple(_word_ints(words | _transpose_words(words))), planted, seed)
+    """The graph of strictly lower-triangular packed bit rows OR'd in place with their transpose:
+    symmetric with a zero diagonal by construction, it takes BitGraph's trusted path (planted check only)."""
+    g = object.__new__(BitGraph)
+    g.__dict__.update(n=len(words), rows=tuple(_word_ints(_transpose_words(words, words))), planted=planted, seed=seed)
+    g.__post_init__(trusted=True)
+    return g
 
 
 def _check_subset(g: BitGraph, s: VertexSubset) -> None:
@@ -284,37 +293,37 @@ def overlap(g: BitGraph, s: VertexSubset) -> int:
 
 
 def save_graph(g: BitGraph, path) -> None:
-    """Write g as a pcg v1 file; a plain graph gets k = 0 and an empty line 2."""
-    lines = [f"pcg v1 {g.n} {g.k} {g.seed}"]
-    lines.append(" ".join(str(v) for v in g.planted))
-    for i in range(g.n):
-        low = g.rows[i] & ((1 << i) - 1)
-        lines.append(format(low, "x"))
+    """Write g as a pcg v1 file, row by row; a plain graph gets k = 0 and an empty line 2."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"pcg v1 {g.n} {g.k} {g.seed}\n{' '.join(map(str, g.planted))}\n")
+        fh.writelines(f"{r & ((1 << i) - 1):x}\n" for i, r in enumerate(g.rows))
+
+
+def _hex_row(i: int, line: str) -> int:
+    """Lower-triangle row i from its line: hex digits only, below bit i ("" is a missing row)."""
+    digits = line.rstrip("\n")
+    row = int.from_bytes(binascii.unhexlify("0" * (len(digits) & 1) + digits), "big")
+    if not digits or row >> i:
+        raise ValueError(f"row {i} is missing, empty or has bits at or above the diagonal")
+    return row
 
 
 def load_graph(path) -> BitGraph:
-    """Read a pcg v1 file; any malformed content raises ParameterError.  A
-    k = 0 file loads as a plain graph, with an empty planted set."""
+    """Read a pcg v1 file line by line, each row straight into the packed words.  ParameterError unless
+    lines 1-2 read as save_graph writes them, rows are hex digits and nothing follows row n; k = 0 is plain."""
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-        magic, version, *fields = lines[0].split()
-        if (magic, version) != ("pcg", "v1"):
-            raise ValueError(f"bad graph header: {lines[0]!r}")
-        n, k, seed = map(int, fields)
-        planted = tuple(map(int, lines[1].split()))
-        lower = [int(row, 16) for row in lines[2 : n + 2]]
-    except (IndexError, ValueError) as exc:  # also non-UTF-8 bytes
+            header, line = fh.readline(), fh.readline()
+            n, k, seed = map(int, header.split()[2:])
+            planted = tuple(map(int, line.split()))
+            if header + line != f"pcg v1 {n} {k} {seed}\n{' '.join(map(str, planted))}\n" or len(planted) != k:
+                raise ValueError(f"bad header or planted line: {header + line!r}")
+            words = _row_words(map(_hex_row, range(n), iter(fh.readline, None)), n)  # "" past the end
+            if fh.read(1):
+                raise ValueError(f"content after row n = {n}")
+    except (ValueError, MemoryError) as exc:  # also non-UTF-8 bytes, and n < 0 or huge in np.zeros
         raise ParameterError(f"malformed graph file: {exc}") from None
-    if len(planted) != k:
-        raise ParameterError("planted list length does not match header")
-    if len(lower) != n:
-        raise ParameterError(f"{len(lower)} adjacency rows in file, header says n={n}")
-    if above := [i for i, r in enumerate(lower) if r >> i]:
-        raise ParameterError(f"row {above[0]} has bits at or above the diagonal")
-    g = _symmetric_graph(_row_words(lower, n), planted, seed)
+    g = _symmetric_graph(words, planted, seed)
     if g.count_in_mask(g.planted_mask) != k * (k - 1) // 2:
         raise ParameterError("planted set is not a clique in file")
     return g

@@ -580,13 +580,15 @@ def test_exact_gibbs_rejects_kbar_below_k_before_enumerating(monkeypatch):
 
 def test_beta_must_be_finite_and_non_negative():
     g = sample_planted(12, 4, 0)
-    for beta in (math.nan, math.inf, -1.0):
+    for beta in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
             MCMCConfig(beta=beta, kbar=4, t_max=10, seed=0)
         with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
             exact_gibbs(g, 4, beta)
         with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
             gibbs_log_weight(g, VertexSubset(g.planted), beta)
+        with pytest.raises(ParameterError, match="beta must be finite and >= 0"):
+            transition_matrix(g, 4, beta)
     with pytest.raises(ParameterError, match="overflows"):
         exact_gibbs(g, 5, 1e308)  # C(5, 2) * 1e308 is inf
     assert np.isfinite(exact_gibbs(g, 5, 1e307).log_weights).all()
@@ -766,6 +768,20 @@ def test_transition_matrix_at_a_huge_beta():
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("beta, rounded", [(0.0, 46), (1.0, 1)])
+def test_transition_matrix_has_no_negative_probability(beta, rounded):
+    # on the README instance, 1 - (row sum) rounds to -2.2e-16 on `rounded`
+    # fully accepted rows; the diagonal is clipped at 0 instead
+    g = sample_planted(14, 4, 0)
+    t, states = transition_matrix(g, 5, beta)
+    bare = t.copy()
+    np.fill_diagonal(bare, 0.0)
+    off = bare.sum(axis=1)  # the sum transition_matrix takes before its diagonal
+    assert len(states) == 2002 and int(np.count_nonzero(1.0 - off < 0)) == rounded
+    assert t.min() == 0.0 and np.array_equal(np.diag(t), np.maximum(1.0 - off, 0.0))
+    assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
+
+
 def per_swap_transition_matrix(g, kbar, beta, part=None):
     """The Metropolis matrix by trying every (u out, v in) swap of every
     state against an index of the states, with its own acceptance rule."""
@@ -786,7 +802,7 @@ def per_swap_transition_matrix(g, kbar, beta, part=None):
                 if j is None:  # outside the band: reflected self-loop
                     continue
                 t[i, j] += prop * math.exp(min(0.0, beta * (edges[j] - edges[i])))
-        t[i, i] = 1.0 - t[i].sum() + t[i, i]
+        t[i, i] = max(0.0, 1.0 - t[i].sum() + t[i, i])  # clipped, as transition_matrix does
     return t, states
 
 

@@ -172,16 +172,38 @@ def test_sampled_graph_file_bytes_are_pinned(tmp_path, n, k, seed, sha256):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
-def test_sample_planted_builds_no_n_by_n_array():
-    # an n x n bool matrix alone is 9 MB at n = 3000; the packed rows,
-    # their transpose and the row ints take about 7 MB at peak
+def traced_peak(f):
     tracemalloc.start()
     try:
-        sample_planted(3000, 40, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sample_planted_builds_no_n_by_n_array():
+    # an n x n bool matrix alone is 9 MB at n = 3000 (the tighter bounds of
+    # the graph paths are in test_graph_paths_hold_no_second_copy)
+    peak = traced_peak(lambda: sample_planted(3000, 40, 0))
     assert peak < 9e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_graph_paths_hold_no_second_copy(tmp_path, seed):
+    # at n = 3000 the packed rows take 1.1 MB and the row ints 1.2 MB.  The
+    # sampler once packed them twice and re-checked symmetry (6.1 MiB peak);
+    # save and load held the whole file as one string and a list of lines
+    # (3.4 and 6.8 MiB)
+    path = tmp_path / "g.pcg"
+    g = sample_planted(3000, 40, seed)
+    assert traced_peak(lambda: sample_planted(3000, 40, seed)) <= 4 * 2**20
+    assert traced_peak(lambda: save_graph(g, path)) <= 2**20 / 2
+    assert traced_peak(lambda: load_graph(path)) <= 4 * 2**20
+    assert load_graph(path) == g
+    assert "words" not in vars(g)  # built on first use, not kept from construction
+    w = g.words
+    assert not w.flags.writeable and g.words is w
+    assert tuple(model._word_ints(w)) == g.rows
 
 
 def test_planted_pairs_always_edges():
@@ -352,6 +374,15 @@ def test_load_rejects_corrupt_header(tmp_path):
     "pcg v1 3 1 0\n0\n0\nzz\n3\n",        # non-hex row
     "pcg v1 3 1 0\n0\n0\n1\n",            # truncated
     "pcg v1 -1 0 0\n\n",                  # negative n
+    "pcg v1 3 0 0\n\n0\n1\n3\nff\nzz\n",    # rows after row n
+    "pcg v1 3 0 0\n\n0\n1\n3\n\n",          # an empty line after row n
+    "pcg v1 3 0 0\n\n0\n1\x0c\n3\n",         # str.splitlines breaks, which int() strips:
+    "pcg v1 3 0 0\n\n0\n1\x0b\n3\n",         # a naive line-by-line reader would load
+    "pcg v1 3 0 0\n\n0\n1\x85\n3\n",         # each of these; the whole-file reader
+    "pcg v1 3 0 0\n\n0\n1\u2028\n3\n",       # rejected them
+    "pcg v1 3 0 0\x0c\n\n0\n1\n3\n",         # a splitlines break in the header
+    "pcg v1 3 0 0\n\x0b\n0\n1\n3\n",         # and in the planted line
+    "pcg v1 99999999 0 0\n\n0\n1\n3\n",       # n far beyond the rows in the file
 ])
 def test_load_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "bad.pcg"
@@ -361,7 +392,25 @@ def test_load_rejects_malformed_file(tmp_path, text):
 
 
 SPLICES = st.one_of(st.binary(max_size=3),
-                    st.sampled_from([b"\n", b" ", b"-", b"9", b"99", b"g", b"\xff"]))
+                    st.sampled_from([b"\n", b" ", b"-", b"9", b"99", b"g", b"\xff", b"\r", b"_", b"+",
+                                     b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode()]))
+
+
+def whole_file_load_graph(path):
+    """load_graph as it read files before it streamed them: the whole text
+    through str.splitlines, each row through int(row, 16), the rows as one
+    list, lines after row n ignored, and the full check of a hand-built graph."""
+    lines = path.read_text().splitlines()
+    magic, version, *fields = lines[0].split()
+    assert (magic, version) == ("pcg", "v1")
+    n, k, seed = map(int, fields)
+    planted = tuple(map(int, lines[1].split()))
+    lower = [int(row, 16) for row in lines[2 : n + 2]]
+    assert len(planted) == k and len(lower) == n and not any(r >> i for i, r in enumerate(lower))
+    rows = [r | sum((lower[j] >> i & 1) << j for j in range(i + 1, n)) for i, r in enumerate(lower)]
+    g = BitGraph(n, tuple(rows), planted, seed)
+    assert edge_count(g, VertexSubset.from_iterable(planted)) == math.comb(k, 2)
+    return g
 
 
 @settings(max_examples=400)
@@ -379,6 +428,7 @@ def test_load_mutated_file_raises_only_parameter_error(tmp_path_factory, edits):
         g = load_graph(path)
     except ParameterError:
         return
+    assert whole_file_load_graph(path) == g  # it loads nothing the whole-file reader rejected
     save_graph(g, path)  # whatever loads must round-trip
     h = load_graph(path)
     assert h == g
